@@ -1,10 +1,8 @@
 #include "check/driver.hpp"
 
 #include <algorithm>
-#include <optional>
 
 #include "check/io_hash.hpp"
-#include "sim/transport.hpp"
 #include "support/logging.hpp"
 
 namespace icheck::check
@@ -28,32 +26,10 @@ executeCampaignRun(const DriverConfig &cfg, const ProgramFactory &factory,
     mc.schedSeed =
         cfg.baseSchedSeed + static_cast<std::uint64_t>(run_index);
 
-    // Declared before the machine so it is destroyed after it: ~Machine
-    // drains and detaches the transport while both are still alive.
-    std::optional<sim::EventTransport> transport;
     sim::Machine machine(mc, &replay_log, mode);
 
     auto checker = makeChecker(cfg.scheme, cfg.ignores, cfg.idealCostModel);
     checker->attach(machine);
-    OutputHasher output_hasher;
-    if (cfg.transport != TransportMode::Off) {
-        sim::TransportConfig tc;
-        tc.ringCapacity = cfg.transportRingCapacity;
-        tc.async = cfg.transport == TransportMode::Async;
-        transport.emplace(tc);
-        // The output hasher only consumes onOutput: declaring no interest
-        // in the access stream at all lets the producer skip record
-        // production for every load and store — the transport's headline
-        // hot-path win for plain `icheck check` runs.
-        sim::ConsumerInterest interest;
-        interest.loads = false;
-        interest.stores = false;
-        interest.storeValues = false;
-        transport->addListener(&output_hasher, interest);
-        machine.setTransport(&*transport);
-    } else {
-        machine.addListener(&output_hasher);
-    }
 
     RunRecord record;
     machine.setRunStartHandler([&] { checker->onRunStart(); });
@@ -66,8 +42,11 @@ executeCampaignRun(const DriverConfig &cfg, const ProgramFactory &factory,
     if (app_name != nullptr)
         *app_name = program->name();
     record.result = machine.run(*program);
-    record.outputHash = output_hasher.value();
-    record.outputBytes = output_hasher.bytes();
+    // Hashed once from the machine's copy of the stream: a listener
+    // would put a virtual call on every load and store of HW-Inc runs,
+    // which otherwise have no listener at all.
+    record.outputHash = hashOutputStream(machine.output());
+    record.outputBytes = machine.output().size();
     record.checkerOverheadInstrs = checker->overheadInstrs();
     return record;
 }

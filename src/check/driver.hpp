@@ -30,26 +30,11 @@ namespace icheck::check
 /** Factory producing a fresh program instance per run. */
 using ProgramFactory = std::function<std::unique_ptr<sim::Program>()>;
 
-/** How run-attached listeners receive events (sim/transport.hpp). */
-enum class TransportMode : std::uint8_t
-{
-    Off,    ///< Synchronous listener dispatch (pre-transport behavior).
-    Inline, ///< Ring transport, drained at decision boundaries.
-    Async,  ///< Ring transport, drained on a dedicated consumer thread.
-};
-
 /** Configuration of one determinism-checking campaign. */
 struct DriverConfig
 {
     /** Scheme attached to every run. */
     Scheme scheme = Scheme::HwInc;
-
-    /** Event routing for the driver's own listeners (the output hasher).
-     *  Reports are byte-identical across all modes and capacities. */
-    TransportMode transport = TransportMode::Inline;
-
-    /** Ring slots per simulated core (power of two, min 1). */
-    std::size_t transportRingCapacity = 1024;
 
     /** Use the per-scheme ideal (lower-bound) software cost model. */
     bool idealCostModel = true;

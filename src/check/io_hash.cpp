@@ -5,11 +5,10 @@
 namespace icheck::check
 {
 
-void
-OutputHasher::onOutput(ThreadId, const std::uint8_t *data, std::size_t len)
+HashWord
+hashOutputStream(const std::vector<std::uint8_t> &stream)
 {
-    crc = hashing::Crc64::compute(data, len, crc);
-    total += len;
+    return hashing::Crc64::compute(stream.data(), stream.size(), 0);
 }
 
 } // namespace icheck::check

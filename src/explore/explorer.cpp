@@ -4,12 +4,10 @@
 #include <cinttypes>
 #include <cstdio>
 #include <memory>
-#include <optional>
 
 #include "explore/dpor.hpp"
 #include "explore/hb_signature.hpp"
 #include "explore/snapshot_tree.hpp"
-#include "sim/transport.hpp"
 #include "support/logging.hpp"
 
 namespace icheck::explore
@@ -81,11 +79,6 @@ runOnce(const check::ProgramFactory &factory,
         sim::ChromeTraceBuilder *trace)
 {
     auto program = factory();
-    // Declared before the machine and its listeners: ~Machine (and the
-    // explicit detach below) drains into still-live trackers.
-    std::optional<sim::EventTransport> transport;
-    if (config.transport)
-        transport.emplace(sim::TransportConfig{});
     sim::Machine machine(machine_template);
     const bool bounded = config.maxPreemptions != noDecision;
     auto sched = std::make_unique<sim::ScriptedScheduler>(
@@ -94,37 +87,22 @@ runOnce(const check::ProgramFactory &factory,
     sim::ScriptedScheduler *sched_ptr = sched.get();
     machine.setScheduler(std::move(sched));
 
-    // The trackers read at scheduling decisions must be caught up before
-    // every decision handler: decision-coupled interest. They key off
-    // access addresses, never store values.
-    sim::ConsumerInterest tracker_interest;
-    tracker_interest.loads = true;
-    tracker_interest.storeValues = false;
-    tracker_interest.decisionCoupled = true;
-
+    // The decision handler below reads the trackers; listeners run
+    // synchronously, so by then they have seen the whole closed slice.
     RunObservation obs;
     HbTracker hb;
-    if (config.prune == PruneMode::HappensBefore) {
-        if (transport)
-            transport->addListener(&hb, tracker_interest);
-        else
-            machine.addListener(&hb);
-    }
+    if (config.prune == PruneMode::HappensBefore)
+        machine.addListener(&hb);
 
     DporTracker dpor;
     SleepEval sleepEval;
     if (config.dpor) {
         dpor.reset(program->numThreads());
-        if (transport)
-            transport->addListener(&dpor, tracker_interest);
-        else
-            machine.addListener(&dpor);
+        machine.addListener(&dpor);
         sleepEval.reset(sleep, prefix.empty() ? 0 : prefix.size() - 1);
     }
     if (trace != nullptr)
         machine.addListener(trace);
-    if (transport)
-        machine.setTransport(&*transport);
 
     std::size_t decision = 0;
     machine.setDecisionHandler(
@@ -183,8 +161,6 @@ runOnce(const check::ProgramFactory &factory,
     });
 
     machine.run(*program);
-    if (transport)
-        machine.setTransport(nullptr); // Final drain + detach.
 
     if (config.dpor) {
         dpor.finishRun(sched_ptr->chosenIndices());
@@ -285,11 +261,10 @@ explore(const check::ProgramFactory &factory,
     // Prefix sharing: one persistent machine plus a checkpoint tree,
     // unless disabled or unsupported (TSan builds). Either way every
     // observation — and therefore the whole ExploreResult minus stats —
-    // is byte-identical. Transport routing and per-run tracing force
-    // cold runs: the persistent machine cannot rebind a transport
-    // mid-tree, and a trace must cover its schedule from the start.
+    // is byte-identical. Per-run tracing forces cold runs: a trace must
+    // cover its schedule from the start.
     const bool warm = config.checkpoints && PrefixEngine::supported() &&
-                      !config.transport && config.traceDir.empty();
+                      config.traceDir.empty();
     std::unique_ptr<CheckpointTree> tree;
     std::unique_ptr<PrefixEngine> engine;
     if (warm) {

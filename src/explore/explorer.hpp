@@ -112,15 +112,6 @@ struct ExploreConfig
     std::size_t checkpointBudgetBytes = 64ULL << 20;
 
     /**
-     * Route the run trackers (HbTracker/DporTracker) through the ring
-     * event transport (sim/transport.hpp, inline drain) instead of
-     * direct dispatch. Observations are byte-identical either way;
-     * forces cold runs (the warm prefix engine replays suffixes on a
-     * persistent machine the transport cannot rebind mid-tree).
-     */
-    bool transport = false;
-
-    /**
      * When non-empty, write one Chrome trace-event JSON per executed
      * run into this directory (`icheck explore --trace-dir`). Forces
      * cold runs so every trace covers its schedule from the start.

@@ -192,7 +192,7 @@ exploreParallel(const check::ProgramFactory &factory,
 
     const bool warm = config.checkpoints &&
                       explore::PrefixEngine::supported() &&
-                      !config.transport && config.traceDir.empty();
+                      config.traceDir.empty();
     std::unique_ptr<explore::CheckpointTree> tree;
     if (warm) {
         tree = std::make_unique<explore::CheckpointTree>(

@@ -5,17 +5,15 @@
  * @file
  * Chrome trace-event-format export of a simulated run.
  *
- * ChromeTraceBuilder is an ordinary AccessListener (attach directly or as
- * a transport consumer) that turns schedule slices, lock hold spans,
- * barrier epochs, preemptions, and determinism checkpoints into
- * trace-event records. renderChromeTrace() serializes one or more runs
+ * ChromeTraceBuilder is an ordinary AccessListener that turns schedule
+ * slices, lock hold spans, barrier epochs, preemptions, and determinism
+ * checkpoints into trace-event records. renderChromeTrace() serializes one or more runs
  * into the JSON object format that chrome://tracing and Perfetto load
  * directly: each run becomes a pid, each simulated thread a tid.
  *
  * Timestamps are the builder's own event-count clock (one tick per
- * observed event), which makes traces deterministic and independent of
- * the transport mode — wall time on the simulated machine is meaningless
- * anyway.
+ * observed event), which makes traces deterministic — wall time on the
+ * simulated machine is meaningless anyway.
  */
 
 #include <cstdint>

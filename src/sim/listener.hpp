@@ -27,40 +27,33 @@ enum class CostDomain : std::uint8_t
     Overhead, ///< Instrumentation added by InstantCheck (zeroing etc.).
 };
 
-/**
- * One store, observed after the value is in simulated memory.
- *
- * Deliberately a plain aggregate with no member initializers: the event
- * transport (sim/event_ring.hpp) embeds this struct verbatim inside the
- * EventRecord union, which requires a trivial default constructor, and the
- * hot path fills every field in place in the ring slot.
- */
+/** One store, observed after the value is in simulated memory. */
 struct StoreEvent
 {
-    ThreadId tid;
-    CoreId core;
-    Addr addr;
-    std::uint64_t oldBits;
-    std::uint64_t newBits;
-    unsigned width;
-    hashing::ValueClass cls;
-    CostDomain domain;
+    ThreadId tid = 0;
+    CoreId core = 0;
+    Addr addr = 0;
+    std::uint64_t oldBits = 0;
+    std::uint64_t newBits = 0;
+    unsigned width = 0;
+    hashing::ValueClass cls = hashing::ValueClass::Integer;
+    CostDomain domain = CostDomain::Native;
 
     /**
      * False when the store happened inside a stop_hashing window
      * (Section 3.3): software incremental checkers must skip it, exactly
      * as the MHM does.
      */
-    bool hashed;
+    bool hashed = false;
 };
 
-/** One load. Plain aggregate for the same reason as StoreEvent. */
+/** One load. */
 struct LoadEvent
 {
-    ThreadId tid;
-    CoreId core;
-    Addr addr;
-    unsigned width;
+    ThreadId tid = 0;
+    CoreId core = 0;
+    Addr addr = 0;
+    unsigned width = 0;
 };
 
 /** Synchronization event kinds. */
@@ -121,10 +114,10 @@ struct SliceEvent
 };
 
 /**
- * Subscriber to run events. All callbacks fire on the currently running
- * simulated thread; because execution is serialized, no locking is
- * needed. (Under the async event transport they fire on the drain thread
- * instead — still one at a time, in event order.)
+ * Subscriber to run events. All callbacks fire synchronously on the
+ * currently running simulated thread, inside the operation that raised
+ * them (the way a Pin analysis routine runs inside the instrumented
+ * instruction); because execution is serialized, no locking is needed.
  */
 class AccessListener
 {

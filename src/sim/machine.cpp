@@ -1,10 +1,8 @@
 #include "sim/machine.hpp"
 
-#include <algorithm>
 #include <sstream>
 
 #include "sim/context.hpp"
-#include "sim/transport.hpp"
 #include "support/logging.hpp"
 #include "support/rng.hpp"
 
@@ -75,10 +73,6 @@ Machine::~Machine()
 {
     if (threadsLive)
         abortAll();
-    // Backstop: never leave a transport holding a dangling machine
-    // pointer (its drain stage replays access sites into the machine).
-    if (transport != nullptr)
-        setTransport(nullptr);
 }
 
 void
@@ -92,26 +86,6 @@ Machine::addListener(AccessListener *listener)
 {
     ICHECK_ASSERT(listener != nullptr, "null listener");
     listeners.push_back(listener);
-}
-
-void
-Machine::removeListener(AccessListener *listener)
-{
-    listeners.erase(
-        std::remove(listeners.begin(), listeners.end(), listener),
-        listeners.end());
-}
-
-void
-Machine::setTransport(EventTransport *t)
-{
-    if (transport == t)
-        return;
-    if (transport != nullptr)
-        transport->unbind();
-    transport = t;
-    if (transport != nullptr)
-        transport->bind(*this);
 }
 
 void
@@ -284,11 +258,6 @@ Machine::finishRun()
             throw SimError("deadlock: no runnable thread (" +
                            std::to_string(alive) + " alive)");
         }
-        // Decision-coupled transport consumers (DporTracker, HbTracker)
-        // must have observed every event of the closed slice before the
-        // decision handler reads them.
-        if (transport != nullptr)
-            transport->drainAtDecision();
         if (decisionHandler)
             decisionHandler(runnable);
         const ThreadId tid = scheduler->pick(runnable);
@@ -333,11 +302,6 @@ Machine::finishRun()
     // Phase 5: program-end determinism checkpoint.
     fireCheckpoint(CheckpointKind::ProgramEnd, invalidThreadId);
 
-    // Every published record must reach its consumers before the caller
-    // reads listener state off the finished run.
-    if (transport != nullptr)
-        transport->drainAll();
-
     RunResult result;
     result.checkpoints = checkpointIndex;
     for (const auto &core : cores) {
@@ -372,11 +336,6 @@ Machine::checkpoint()
                   "checkpoint() outside a quiescent point");
     ICHECK_ASSERT(usesPrivateLog,
                   "checkpoint() requires a private malloc-replay log");
-
-    // Consumer state is part of what the snapshot captures conceptually;
-    // make sure nothing is still in flight before forking the machine.
-    if (transport != nullptr)
-        transport->drainAll();
 
     auto snap = std::make_shared<MachineSnapshot>();
     snap->mem = mem.fork();
@@ -440,9 +399,6 @@ Machine::restore(const MachineSnapshot &snap)
     ICHECK_ASSERT(snap.coreStates.size() == cores.size() &&
                       snap.threadStates.size() == threads.size(),
                   "snapshot from a different machine shape");
-
-    if (transport != nullptr)
-        transport->drainAll();
 
     mem.restoreFrom(snap.mem);
     privateLog = snap.logState;
@@ -604,16 +560,6 @@ Machine::loadAccess(Addr addr, unsigned width)
         for (auto *listener : listeners)
             listener->onLoad(event);
     }
-    if (transport != nullptr && transport->wantsLoads()) {
-        if (trackAccessSites && transport->wantsSites())
-            transport->publishSite(core.id, siteFile, siteLine);
-        // Build the listener event in place in the ring slot: the same
-        // stores the synchronous path pays, plus only the commit.
-        EventRecord *slot = transport->beginPublish(core.id);
-        slot->kind = EventKind::Load;
-        slot->load = LoadEvent{curTid, core.id, addr, width};
-        transport->commitPublish(core.id);
-    }
     step();
     return bits;
 }
@@ -625,18 +571,12 @@ Machine::storeAccess(Addr addr, unsigned width, std::uint64_t bits,
     Core &core = curCoreRef();
     SimThread &thread = cur();
     const bool hashed = cfg.hashingArmed && !thread.hashingPaused;
-    const bool viaTransport =
-        transport != nullptr && transport->wantsStores();
-    // The old value is consumed only by the MHM and by event consumers.
-    // When the hash gate is closed, nobody listens synchronously, and no
-    // transport consumer declared an interest in store values, skip the
-    // read entirely — safe because write buffers are drained before the
-    // gate ever flips, so no hashed=true entry can be in flight while
-    // hashed is false here. The interest mask is the transport's hot-path
-    // win: synchronous dispatch had to materialize the old value for
-    // every listener, values-blind ones (the race detector) included.
-    const bool observed = hashed || !listeners.empty() ||
-                          (viaTransport && transport->wantsStoreValues());
+    // The old value is consumed only by the MHM and by listeners. When
+    // the hash gate is closed and nobody listens, skip the read entirely
+    // — safe because write buffers are drained before the gate ever
+    // flips, so no hashed=true entry can be in flight while hashed is
+    // false here.
+    const bool observed = hashed || !listeners.empty();
     const std::uint64_t old_bits =
         observed ? mem.readValue(addr, width) : 0;
     mem.writeValue(addr, width, bits);
@@ -667,16 +607,6 @@ Machine::storeAccess(Addr addr, unsigned width, std::uint64_t bits,
                          width, cls, domain, hashed};
         for (auto *listener : listeners)
             listener->onStore(event);
-    }
-    if (viaTransport) {
-        if (trackAccessSites && transport->wantsSites())
-            transport->publishSite(core.id, siteFile, siteLine);
-        EventRecord *slot = transport->beginPublish(core.id);
-        slot->kind = EventKind::Store;
-        slot->store = StoreEvent{curTid, core.id,   addr,
-                                 old_bits, bits,    width,
-                                 cls,      domain,  hashed};
-        transport->commitPublish(core.id);
     }
 
     if (domain == CostDomain::Native)
@@ -738,8 +668,6 @@ Machine::allocBlock(const std::string &site, const mem::TypeRef &type)
     ICHECK_ASSERT(block != nullptr, "allocation lost");
     for (auto *listener : listeners)
         listener->onAlloc(*block);
-    if (transport != nullptr && transport->armed())
-        transport->publishBlock(eventRing(), EventKind::Alloc, *block);
     if (instrumentation)
         zeroRange(addr, type->size());
     emitSync(SyncKind::LockRelease, curTid, allocatorLockId);
@@ -756,8 +684,6 @@ Machine::freeBlock(Addr addr)
     ICHECK_ASSERT(block != nullptr, "free of unknown block at ", addr);
     for (auto *listener : listeners)
         listener->onFree(*block);
-    if (transport != nullptr && transport->armed())
-        transport->publishBlock(eventRing(), EventKind::Free, *block);
     // Scrub the freed contents through the hashed store path so that freed
     // memory leaves the tracked state (and the hash never sees stale
     // garbage on reuse).
@@ -919,16 +845,6 @@ Machine::fireCheckpoint(CheckpointKind kind, ThreadId tid)
     statistics.add("checkpoints");
     for (auto *listener : listeners)
         listener->onCheckpoint(info);
-    if (transport != nullptr && transport->armed()) {
-        EventRecord rec{};
-        rec.kind = EventKind::Checkpoint;
-        rec.checkpoint.index = info.index;
-        rec.checkpoint.tid = tid;
-        rec.checkpoint.kind = static_cast<std::uint8_t>(kind);
-        const std::size_t ring =
-            tid != invalidThreadId ? threads[tid]->lastCore : 0;
-        transport->publish(ring, rec);
-    }
     if (checkpointHandler)
         checkpointHandler(info);
 }
@@ -942,15 +858,6 @@ Machine::emitSync(SyncKind kind, ThreadId tid, std::uint32_t object,
         for (auto *listener : listeners)
             listener->onSync(event);
     }
-    if (transport != nullptr && transport->armed()) {
-        EventRecord rec{};
-        rec.kind = EventKind::Sync;
-        rec.sync.epoch = epoch;
-        rec.sync.tid = tid;
-        rec.sync.object = object;
-        rec.sync.kind = static_cast<std::uint8_t>(kind);
-        transport->publish(eventRing(), rec);
-    }
 }
 
 void
@@ -961,15 +868,6 @@ Machine::emitSlice(ThreadId tid, CoreId core_id, bool begin,
         SliceEvent event{tid, core_id, begin, reason};
         for (auto *listener : listeners)
             listener->onSlice(event);
-    }
-    if (transport != nullptr && transport->armed()) {
-        EventRecord rec{};
-        rec.kind = EventKind::Slice;
-        rec.slice.tid = tid;
-        rec.slice.core = core_id;
-        rec.slice.begin = begin ? 1 : 0;
-        rec.slice.reason = static_cast<std::uint8_t>(reason);
-        transport->publish(core_id, rec);
     }
 }
 
@@ -1008,8 +906,6 @@ Machine::writeOutput(const std::uint8_t *data, std::size_t len)
     outputBytes.insert(outputBytes.end(), data, data + len);
     for (auto *listener : listeners)
         listener->onOutput(curTid, data, len);
-    if (transport != nullptr && transport->armed())
-        transport->publishOutput(eventRing(), curTid, data, len);
     curCoreRef().nativeInstrs += len / 8 + 1;
 }
 

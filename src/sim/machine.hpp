@@ -106,7 +106,6 @@ class SimError : public std::runtime_error
 class SetupCtx;
 class ThreadCtx;
 class Machine;
-class EventTransport;
 
 /**
  * The complete captured architectural state of a Machine at one scheduling
@@ -202,21 +201,6 @@ class Machine
 
     /** Subscribe @p listener to run events (not owned). */
     void addListener(AccessListener *listener);
-
-    /** Unsubscribe a previously added listener (no-op if absent). */
-    void removeListener(AccessListener *listener);
-
-    /**
-     * Route events through @p transport (see sim/transport.hpp) instead
-     * of — or in addition to — the synchronous listener list: records go
-     * into per-core rings and a drain stage replays them into the
-     * transport's own listeners in order. Pass null to detach (pending
-     * records are delivered first). The transport must outlive the
-     * machine or be detached before the machine is destroyed; the
-     * destructor detaches automatically as a backstop.
-     */
-    void setTransport(EventTransport *t);
-    EventTransport *transportAttached() const { return transport; }
 
     /** Called after setup(), before the first thread runs. */
     void setRunStartHandler(std::function<void()> handler);
@@ -401,11 +385,6 @@ class Machine
                   std::uint64_t epoch = 0);
     void emitSlice(ThreadId tid, CoreId core_id, bool begin,
                    SliceEnd reason);
-    /** Ring index for the current event (core 0 when no core is live). */
-    std::size_t eventRing() const
-    {
-        return curCore != invalidCoreId ? curCore : 0;
-    }
     void zeroRange(Addr addr, std::size_t len);
     void scrubTyped(Addr addr, const mem::TypeRef &type);
     void abortAll();
@@ -425,7 +404,6 @@ class Machine
     std::vector<SimCond> conds;
 
     std::vector<AccessListener *> listeners;
-    EventTransport *transport = nullptr;
     std::function<void()> runStartHandler;
     std::function<void(const CheckpointInfo &)> checkpointHandler;
     std::function<void(const std::vector<ThreadId> &)> decisionHandler;
@@ -450,29 +428,6 @@ class Machine
 
     std::vector<std::uint8_t> outputBytes;
     StatGroup statistics;
-};
-
-/**
- * RAII listener attachment: subscribes on construction, unsubscribes on
- * destruction. The idiomatic way to observe part of a run without
- * reconstructing the machine to detach.
- */
-class ScopedListener
-{
-  public:
-    ScopedListener(Machine &m, AccessListener &l) : machine(m), listener(&l)
-    {
-        machine.addListener(listener);
-    }
-
-    ~ScopedListener() { machine.removeListener(listener); }
-
-    ScopedListener(const ScopedListener &) = delete;
-    ScopedListener &operator=(const ScopedListener &) = delete;
-
-  private:
-    Machine &machine;
-    AccessListener *listener;
 };
 
 } // namespace icheck::sim

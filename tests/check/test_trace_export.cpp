@@ -16,9 +16,7 @@
 
 #include "check/driver.hpp"
 #include "check/trace_export.hpp"
-#include "sim/chrome_trace.hpp"
 #include "sim/lambda_program.hpp"
-#include "sim/transport.hpp"
 
 namespace icheck::check
 {
@@ -163,37 +161,6 @@ TEST_F(TraceExportTest, MarksHashDivergencesForNondeterministicRuns)
     // One marker per diverging checkpoint in EACH traced run.
     EXPECT_EQ(countOccurrences(text, "HASH DIVERGENCE"),
               2u * static_cast<std::size_t>(result.divergences));
-}
-
-TEST_F(TraceExportTest, BuilderTickClockIsTransportIndependent)
-{
-    // The trace builder's tick clock counts events, not wall time: the
-    // same schedule must produce byte-identical event streams whether
-    // the builder observes synchronously or through the transport.
-    const ProgramFactory factory = lockedCounterFactory();
-    std::string rendered[2];
-    for (int mode = 0; mode < 2; ++mode) {
-        sim::MachineConfig mcfg;
-        mcfg.numCores = 2;
-        mcfg.schedSeed = 17;
-        sim::ChromeTraceBuilder builder("run");
-        sim::EventTransport transport;
-        sim::Machine machine(mcfg);
-        if (mode == 1) {
-            transport.addListener(&builder);
-            machine.setTransport(&transport);
-        } else {
-            machine.addListener(&builder);
-        }
-        auto prog = factory();
-        machine.run(*prog);
-        machine.setTransport(nullptr);
-        const sim::ChromeTraceBuilder *builders[] = {&builder};
-        rendered[mode] = sim::renderChromeTrace(
-            std::vector<const sim::ChromeTraceBuilder *>(
-                builders, builders + 1));
-    }
-    EXPECT_EQ(rendered[0], rendered[1]);
 }
 
 } // namespace

@@ -1,0 +1,66 @@
+#!/usr/bin/env bash
+# Every numeric flag of every icheck subcommand must reject a malformed or
+# out-of-range value with exit 2 (usage error) and an error on stderr that
+# names the flag; so must the removed event-transport flag. No value here
+# is valid, so no command gets as far as running a campaign or a daemon.
+#
+#   numeric_flags.sh path/to/icheck
+set -u
+
+icheck="$1"
+failures=0
+cases=0
+
+# expect_usage_error FLAG ARGS... : run `icheck ARGS...`, require exit 2
+# and FLAG somewhere on stderr. The timeout turns a value that is wrongly
+# accepted by serve or route (which would start a daemon) into a failure.
+expect_usage_error() {
+    local flag="$1"
+    shift
+    local err rc
+    err="$(timeout -s KILL 20 "${icheck}" "$@" 2>&1 >/dev/null </dev/null)"
+    rc=$?
+    cases=$((cases + 1))
+    if [ "${rc}" -ne 2 ] || ! grep -qF -- "${flag}" <<<"${err}"; then
+        echo "FAIL: icheck $* -> exit ${rc}; stderr: ${err}" >&2
+        failures=$((failures + 1))
+    fi
+}
+
+# Subcommand prefix (what precedes the flag) | its numeric flags.
+matrix=(
+    "check radix|--runs --seed --jobs"
+    "characterize radix|--runs --jobs"
+    "explore radix|--runs --quantum --depth --preemptions --jobs"
+    "localize radix|--checkpoint --seed-a --seed-b"
+    "stats radix|--seed"
+    "infer radix|--runs"
+    "verify|--runs --jobs"
+    "serve|--jobs --dispatchers --queue-depth --max-line-bytes"
+    "route --socket unused.sock --backend b0=unused0.sock|--vnodes --pull-interval-ms"
+)
+bad_values=(abc 4x -3 99999999999999999999999)
+
+for row in "${matrix[@]}"; do
+    read -r -a prefix <<<"${row%%|*}"
+    read -r -a flags <<<"${row#*|}"
+    for flag in "${flags[@]}"; do
+        for value in "${bad_values[@]}"; do
+            expect_usage_error "${flag}" "${prefix[@]}" "${flag}" "${value}"
+        done
+    done
+done
+
+# Range limits: a campaign compares at least two runs, a search runs at
+# least one schedule.
+expect_usage_error --runs check radix --runs 1
+expect_usage_error --runs characterize radix --runs 1
+expect_usage_error --runs verify --runs 0
+expect_usage_error --runs explore radix --runs 0
+
+# The removed event-transport flag is an unknown argument now.
+expect_usage_error --transport check radix --transport off
+expect_usage_error --transport explore radix --transport
+
+echo "${cases} cases, ${failures} failures"
+[ "${failures}" -eq 0 ]

@@ -30,6 +30,7 @@
  * detected, 2 usage or configuration error, 3 internal error.
  */
 
+#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -39,6 +40,7 @@
 #include <fstream>
 #include <iostream>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -69,6 +71,8 @@ using namespace icheck;
 namespace
 {
 
+constexpr std::uint64_t kU64Max = std::numeric_limits<std::uint64_t>::max();
+
 int
 usage()
 {
@@ -83,15 +87,13 @@ usage()
         "                     [--jobs N] [--jsonl FILE] [--json]\n"
         "                     [--bug semantic|atomicity|order]\n"
         "                     [--race-log FILE] [--trace FILE]\n"
-        "                     [--transport off|inline|async]"
-        " [--ring-capacity N]\n"
         "  icheck characterize <app> [--runs N] [--jobs N]\n"
         "  icheck explore <app> [--runs N] [--quantum Q] [--depth D]\n"
         "                       [--prune none|hb|state[,dpor]]"
         " [--preemptions P]\n"
         "                       [--jobs N] [--no-checkpoints]"
         " [--stats]\n"
-        "                       [--transport] [--trace-dir DIR]\n"
+        "                       [--trace-dir DIR]\n"
         "  icheck localize <app> [--checkpoint K] [--seed-a A]"
         " [--seed-b B]\n"
         "  icheck stats <app> [--seed S] [--input dev|medium|large]\n"
@@ -107,6 +109,8 @@ usage()
         "\n"
         "--jobs N fans campaign runs out over N worker threads (default:\n"
         "hardware concurrency); reports are bit-identical for any N.\n"
+        "Numeric flags take plain decimal digits; --runs is at least 2\n"
+        "for campaigns and at least 1 for explore, --jobs 0 means auto.\n"
         "--jsonl FILE streams per-run records and campaign counters.\n"
         "--json prints the canonical one-line report (byte-identical to\n"
         "the report a serve daemon returns for the same request).\n"
@@ -116,13 +120,6 @@ usage()
         "access pairs as JSONL, each endpoint attributed to the app\n"
         "source file:line; icheck-lint --race-log cross-checks its\n"
         "static findings against this log.\n"
-        "--transport picks how run listeners receive events: `off` is\n"
-        "direct synchronous dispatch, `inline` (the default) routes\n"
-        "through per-core lock-free ring buffers drained at decision\n"
-        "boundaries, `async` drains them on a dedicated consumer\n"
-        "thread; reports are byte-identical across all modes and\n"
-        "--ring-capacity values. For explore, --transport is a flag\n"
-        "routing the HB/DPOR trackers the same way (forces cold runs).\n"
         "--trace FILE (check) writes a Chrome trace-event JSON of two\n"
         "representative runs — schedule slices, lock holds, barrier\n"
         "epochs, preemptions, checkpoints, and hash-divergence markers\n"
@@ -188,15 +185,52 @@ class Args
         return std::nullopt;
     }
 
+    /**
+     * Value of numeric flag @p name, or @p fallback when it is absent.
+     * The value must be plain decimal digits within [@p min, @p max];
+     * anything else (empty, signed, trailing garbage, out of range) is a
+     * usage error naming the flag and the value.
+     */
     std::uint64_t
-    number(const std::string &name, std::uint64_t fallback)
+    number(const std::string &name, std::uint64_t fallback,
+           std::uint64_t min, std::uint64_t max)
     {
-        if (const auto v = value(name))
-            return std::strtoull(v->c_str(), nullptr, 10);
-        return fallback;
+        const auto v = value(name);
+        if (!v)
+            return fallback;
+        // from_chars on an unsigned type takes digits only: no sign, no
+        // whitespace, and overflow is reported rather than wrapped.
+        std::uint64_t n = 0;
+        const char *end = v->data() + v->size();
+        const auto [stop, ec] = std::from_chars(v->data(), end, n);
+        if (ec != std::errc{} || stop != end || n < min || n > max)
+            ICHECK_FATAL(name, " expects an integer in [", min, ", ", max,
+                         "], got '", *v, "'");
+        return n;
     }
 
-    bool leftovers() const { return !tokens.empty(); }
+    /** number() for flags stored in an int. */
+    int
+    count(const std::string &name, int fallback, int min,
+          int max = std::numeric_limits<int>::max())
+    {
+        return static_cast<int>(
+            number(name, static_cast<std::uint64_t>(fallback),
+                   static_cast<std::uint64_t>(min),
+                   static_cast<std::uint64_t>(max)));
+    }
+
+    /** True (after naming the first one on stderr) if any argument was
+     *  not consumed by the command. */
+    bool
+    leftovers() const
+    {
+        if (tokens.empty())
+            return false;
+        std::fprintf(stderr, "icheck: unexpected argument '%s'\n",
+                     tokens.front().c_str());
+        return true;
+    }
 
   private:
     std::vector<std::string> tokens;
@@ -214,19 +248,6 @@ cmdList()
                     app.note.c_str());
     }
     return 0;
-}
-
-check::TransportMode
-parseTransport(const std::string &name)
-{
-    if (name == "off")
-        return check::TransportMode::Off;
-    if (name == "inline")
-        return check::TransportMode::Inline;
-    if (name == "async")
-        return check::TransportMode::Async;
-    ICHECK_FATAL("unknown transport mode '", name,
-                 "' (off | inline | async)");
 }
 
 check::Scheme
@@ -290,24 +311,18 @@ cmdCheck(const std::string &app_name, Args &args)
 {
     const apps::AppInfo &app = apps::findApp(app_name);
     check::DriverConfig cfg;
-    cfg.runs = static_cast<int>(args.number("--runs", 30));
+    cfg.runs = args.count("--runs", 30, 2);
     cfg.scheme = parseScheme(
         args.value("--scheme").value_or("hw"));
     cfg.machine.fpRoundingEnabled = !args.flag("--no-rounding");
-    cfg.baseSchedSeed = args.number("--seed", 1000);
-    cfg.transport = parseTransport(
-        args.value("--transport").value_or("inline"));
-    cfg.transportRingCapacity =
-        static_cast<std::size_t>(args.number("--ring-capacity", 1024));
-    if (cfg.transportRingCapacity < 1)
-        ICHECK_FATAL("--ring-capacity must be at least 1");
+    cfg.baseSchedSeed = args.number("--seed", 1000, 0, kU64Max);
     if (!args.flag("--no-ignores"))
         cfg.ignores = app.ignores;
     const bool show_distributions = args.flag("--distributions");
     const bool json_report = args.flag("--json");
     const apps::InputScale scale =
         parseScale(args.value("--input").value_or("medium"));
-    const int jobs = static_cast<int>(args.number("--jobs", 0));
+    const int jobs = args.count("--jobs", 0, 0);
     const std::optional<std::string> jsonl_path = args.value("--jsonl");
     const std::optional<std::string> bug_name = args.value("--bug");
     const std::optional<std::string> race_log_path =
@@ -408,8 +423,8 @@ cmdCharacterize(const std::string &app_name, Args &args)
 {
     const apps::AppInfo &app = apps::findApp(app_name);
     apps::CharacterizeConfig cfg;
-    cfg.runs = static_cast<int>(args.number("--runs", 30));
-    cfg.jobs = static_cast<int>(args.number("--jobs", 0));
+    cfg.runs = args.count("--runs", 30, 2);
+    cfg.jobs = args.count("--jobs", 0, 0);
     if (args.leftovers())
         return usage();
     const apps::Table1Row row = apps::characterizeApp(app, cfg);
@@ -481,14 +496,13 @@ cmdExplore(const std::string &app_name, Args &args)
 {
     const apps::AppInfo &app = apps::findApp(app_name);
     explore::ExploreConfig cfg;
-    cfg.maxRuns = static_cast<int>(args.number("--runs", 200));
-    cfg.quantum = args.number("--quantum", 16);
-    cfg.maxDepth = args.number("--depth", 24);
+    cfg.maxRuns = args.count("--runs", 200, 1);
+    cfg.quantum = args.number("--quantum", 16, 1, kU64Max);
+    cfg.maxDepth = args.number("--depth", 24, 0, kU64Max);
     parsePrune(args.value("--prune").value_or("state"), cfg);
-    if (const auto p = args.value("--preemptions"))
-        cfg.maxPreemptions = std::strtoull(p->c_str(), nullptr, 10);
+    cfg.maxPreemptions =
+        args.number("--preemptions", cfg.maxPreemptions, 0, kU64Max);
     cfg.checkpoints = !args.flag("--no-checkpoints");
-    cfg.transport = args.flag("--transport");
     if (const auto trace_dir = args.value("--trace-dir")) {
         cfg.traceDir = *trace_dir;
         std::error_code ec;
@@ -497,7 +511,7 @@ cmdExplore(const std::string &app_name, Args &args)
             ICHECK_FATAL("cannot create --trace-dir '", cfg.traceDir,
                          "': ", ec.message());
     }
-    const int jobs = static_cast<int>(args.number("--jobs", 1));
+    const int jobs = args.count("--jobs", 1, 0);
     const bool show_stats = args.flag("--stats");
     if (args.leftovers())
         return usage();
@@ -528,7 +542,7 @@ int
 cmdInfer(const std::string &app_name, Args &args)
 {
     const apps::AppInfo &app = apps::findApp(app_name);
-    const int runs = static_cast<int>(args.number("--runs", 8));
+    const int runs = args.count("--runs", 8, 2);
     sim::MachineConfig mc;
     mc.numCores = 8;
     mc.fpRoundingEnabled = !args.flag("--no-rounding");
@@ -563,7 +577,7 @@ int
 cmdStats(const std::string &app_name, Args &args)
 {
     const apps::AppInfo &app = apps::findApp(app_name);
-    const std::uint64_t seed = args.number("--seed", 1000);
+    const std::uint64_t seed = args.number("--seed", 1000, 0, kU64Max);
     const apps::InputScale scale =
         parseScale(args.value("--input").value_or("medium"));
     if (args.leftovers())
@@ -587,8 +601,8 @@ int
 cmdVerify(Args &args)
 {
     apps::CharacterizeConfig cfg;
-    cfg.runs = static_cast<int>(args.number("--runs", 12));
-    cfg.jobs = static_cast<int>(args.number("--jobs", 0));
+    cfg.runs = args.count("--runs", 12, 2);
+    cfg.jobs = args.count("--jobs", 0, 0);
     if (args.leftovers())
         return usage();
     int failures = 0;
@@ -629,9 +643,10 @@ int
 cmdLocalize(const std::string &app_name, Args &args)
 {
     const apps::AppInfo &app = apps::findApp(app_name);
-    const std::uint64_t checkpoint = args.number("--checkpoint", 0);
-    const std::uint64_t seed_a = args.number("--seed-a", 1000);
-    const std::uint64_t seed_b = args.number("--seed-b", 1001);
+    const std::uint64_t checkpoint =
+        args.number("--checkpoint", 0, 0, kU64Max);
+    const std::uint64_t seed_a = args.number("--seed-a", 1000, 0, kU64Max);
+    const std::uint64_t seed_b = args.number("--seed-b", 1001, 0, kU64Max);
     if (args.leftovers())
         return usage();
     sim::MachineConfig mc;
@@ -670,21 +685,16 @@ int
 cmdServe(Args &args)
 {
     service::ServiceConfig cfg;
-    cfg.jobs = static_cast<int>(args.number("--jobs", 0));
-    cfg.dispatchers = static_cast<int>(args.number("--dispatchers", 2));
-    cfg.queueDepth =
-        static_cast<std::size_t>(args.number("--queue-depth", 64));
-    cfg.maxLineBytes = static_cast<std::size_t>(
-        args.number("--max-line-bytes", 64 * 1024));
+    cfg.jobs = args.count("--jobs", 0, 0);
+    cfg.dispatchers = args.count("--dispatchers", 2, 1, 64);
+    cfg.queueDepth = args.number("--queue-depth", 64, 1, 65536);
+    cfg.maxLineBytes =
+        args.number("--max-line-bytes", 64 * 1024, 1, kU64Max);
     if (const auto store_path = args.value("--store"))
         cfg.storePath = *store_path;
     const std::optional<std::string> socket_path = args.value("--socket");
     if (args.leftovers())
         return usage();
-    if (cfg.dispatchers < 1 || cfg.dispatchers > 64)
-        ICHECK_FATAL("--dispatchers must be in [1, 64]");
-    if (cfg.queueDepth < 1 || cfg.queueDepth > 65536)
-        ICHECK_FATAL("--queue-depth must be in [1, 65536]");
 
     // SIGTERM/SIGINT begin a graceful drain: in-flight campaigns finish
     // (their units land in the store), then the daemon exits. SIGPIPE
@@ -738,26 +748,15 @@ cmdRoute(Args &args)
                 "--backend NAME=SOCKET");
     }
 
-    if (const auto vnodes = args.value("--vnodes")) {
-        const std::uint64_t n =
-            std::strtoull(vnodes->c_str(), nullptr, 10);
-        if (n < 1 || n > 1024)
-            ICHECK_FATAL("--vnodes must be in [1, 1024]");
-        topology.vnodes = static_cast<std::size_t>(n);
-    }
+    topology.vnodes = args.number("--vnodes", topology.vnodes, 1, 1024);
     if (const auto ship = args.value("--ship")) {
         if (*ship != "sync" && *ship != "async")
             ICHECK_FATAL("--ship must be sync or async, got '", *ship,
                          "'");
         topology.syncShip = *ship == "sync";
     }
-    if (const auto interval = args.value("--pull-interval-ms")) {
-        const std::uint64_t n =
-            std::strtoull(interval->c_str(), nullptr, 10);
-        if (n < 1 || n > 60000)
-            ICHECK_FATAL("--pull-interval-ms must be in [1, 60000]");
-        topology.pullIntervalMs = static_cast<int>(n);
-    }
+    topology.pullIntervalMs =
+        args.count("--pull-interval-ms", topology.pullIntervalMs, 1, 60000);
     if (args.leftovers())
         return usage();
 
