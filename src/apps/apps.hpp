@@ -294,6 +294,10 @@ class Pbzip2 : public BaseApp
     static constexpr std::size_t resultPtrOffset = 8;
     static constexpr std::size_t resultPtrWidth = 8;
 
+    /** Largest block (the large input scale's) the consumers' fixed
+     *  run-length staging buffer holds. */
+    static constexpr std::uint32_t maxBlockBytes = 192;
+
   private:
     std::uint32_t blocks;
     std::uint32_t blockBytes;

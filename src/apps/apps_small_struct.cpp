@@ -11,7 +11,10 @@
 
 #include "apps/apps.hpp"
 
+#include <array>
 #include <cmath>
+
+#include "support/logging.hpp"
 
 namespace icheck::apps
 {
@@ -140,7 +143,11 @@ pbzipTaskType()
 Pbzip2::Pbzip2(ThreadId threads, std::uint32_t blocks,
                std::uint32_t block_bytes)
     : BaseApp(threads), blocks(blocks), blockBytes(block_bytes)
-{}
+{
+    ICHECK_ASSERT(block_bytes <= maxBlockBytes, "pbzip2 block of ",
+                  block_bytes, " bytes exceeds the ", maxBlockBytes,
+                  "-byte staging bound");
+}
 
 void
 Pbzip2::setup(sim::SetupCtx &ctx)
@@ -232,8 +239,13 @@ Pbzip2::threadMain(sim::ThreadCtx &ctx)
         // allocate the result buffer. Buffers are therefore claimed in
         // compression-*completion* order, which depends on the schedule —
         // so the pointer stored in the task struct is nondeterministic,
-        // exactly the pbzip2 behaviour of Section 7.2.1.
-        std::vector<std::uint8_t> staged;
+        // exactly the pbzip2 behaviour of Section 7.2.1. The staging
+        // buffer is a fixed array, not a heap container: a snapshotted
+        // fiber may keep only trivially destructible state on its stack
+        // (SimFiber::restore), and run-length output is at most two bytes
+        // per input byte.
+        std::array<std::uint8_t, 2 * maxBlockBytes> staged;
+        std::size_t staged_len = 0;
         std::uint32_t i = 0;
         while (i < blockBytes) {
             const std::uint8_t byte = ctx.load<std::uint8_t>(block + i);
@@ -242,17 +254,17 @@ Pbzip2::threadMain(sim::ThreadCtx &ctx)
                    ctx.load<std::uint8_t>(block + i + count) == byte) {
                 ++count;
             }
-            staged.push_back(count);
-            staged.push_back(byte);
+            staged[staged_len++] = count;
+            staged[staged_len++] = byte;
             i += count;
             ctx.tick(15);
         }
         const Addr buf =
             ctx.malloc("pbzip2.cpp:result_buf",
                        tBytes(2 * blockBytes + 2));
-        for (std::size_t b = 0; b < staged.size(); ++b)
+        for (std::size_t b = 0; b < staged_len; ++b)
             ctx.store<std::uint8_t>(buf + b, staged[b]);
-        const auto out = static_cast<std::int64_t>(staged.size());
+        const auto out = static_cast<std::int64_t>(staged_len);
         ctx.storePtr(task + resultPtrOffset, buf);
         ctx.store<std::int64_t>(task + 16, out);
         ctx.store<std::int64_t>(task + 24, 1);

@@ -1,71 +1,21 @@
 #include "explore/explorer.hpp"
 
 #include <algorithm>
-#include <cinttypes>
+#include <array>
+#include <condition_variable>
 #include <cstdio>
+#include <exception>
 #include <memory>
+#include <mutex>
+#include <thread>
+#include <unordered_set>
 
 #include "explore/dpor.hpp"
-#include "explore/hb_signature.hpp"
 #include "explore/snapshot_tree.hpp"
 #include "support/logging.hpp"
 
 namespace icheck::explore
 {
-
-std::string
-renderStatsJson(const ExploreStats &s)
-{
-    const double dedup =
-        s.sigInserts == 0 ? 0.0
-                          : 1.0 - static_cast<double>(s.sigUnique) /
-                                      static_cast<double>(s.sigInserts);
-    char line[768];
-    std::snprintf(
-        line, sizeof line,
-        "{\"checkpointing\": %s, \"nodes_expanded\": %" PRIu64 ", "
-        "\"checkpoint_hits\": %" PRIu64 ", \"checkpoint_misses\": %" PRIu64
-        ", \"checkpoints_created\": %" PRIu64 ", "
-        "\"checkpoints_evicted\": %" PRIu64 ", "
-        "\"checkpoint_bytes\": %" PRIu64 ", \"pages_cow_cloned\": %" PRIu64
-        ", \"decisions_restored\": %" PRIu64 ", "
-        "\"decisions_executed\": %" PRIu64 ", \"sig_inserts\": %" PRIu64
-        ", \"sig_unique\": %" PRIu64 ", \"dedup_rate\": %.4f, "
-        "\"dpor\": %s, \"traces_explored\": %" PRIu64
-        ", \"dpor_races\": %" PRIu64 ", \"backtracks_inserted\": %" PRIu64
-        ", \"sleep_set_hits\": %" PRIu64 ", \"dpor_pruned\": %" PRIu64 "}",
-        s.checkpointing ? "true" : "false", s.nodesExpanded,
-        s.checkpointHits, s.checkpointMisses, s.checkpointsCreated,
-        s.checkpointsEvicted, s.checkpointBytes, s.pagesCowCloned,
-        s.decisionsRestored, s.decisionsExecuted, s.sigInserts,
-        s.sigUnique, dedup, s.dporActive ? "true" : "false",
-        s.tracesExplored, s.dporRaces, s.backtracksInserted,
-        s.sleepSetHits, s.dporPruned);
-    return line;
-}
-
-void
-ExploreStats::merge(const ExploreStats &other)
-{
-    checkpointing = checkpointing || other.checkpointing;
-    nodesExpanded += other.nodesExpanded;
-    checkpointHits += other.checkpointHits;
-    checkpointMisses += other.checkpointMisses;
-    checkpointsCreated += other.checkpointsCreated;
-    checkpointsEvicted += other.checkpointsEvicted;
-    checkpointBytes += other.checkpointBytes;
-    pagesCowCloned += other.pagesCowCloned;
-    decisionsRestored += other.decisionsRestored;
-    decisionsExecuted += other.decisionsExecuted;
-    sigInserts += other.sigInserts;
-    sigUnique += other.sigUnique;
-    dporActive = dporActive || other.dporActive;
-    tracesExplored += other.tracesExplored;
-    dporRaces += other.dporRaces;
-    backtracksInserted += other.backtracksInserted;
-    sleepSetHits += other.sleepSetHits;
-    dporPruned += other.dporPruned;
-}
 
 namespace detail
 {
@@ -80,109 +30,23 @@ runOnce(const check::ProgramFactory &factory,
 {
     auto program = factory();
     sim::Machine machine(machine_template);
-    const bool bounded = config.maxPreemptions != noDecision;
     auto sched = std::make_unique<sim::ScriptedScheduler>(
         std::vector<std::uint32_t>(prefix), config.quantum,
-        /*prefer_previous=*/bounded);
-    sim::ScriptedScheduler *sched_ptr = sched.get();
+        /*prefer_previous=*/config.maxPreemptions != noDecision);
+    const sim::ScriptedScheduler &script = *sched;
     machine.setScheduler(std::move(sched));
 
-    // The decision handler below reads the trackers; listeners run
-    // synchronously, so by then they have seen the whole closed slice.
-    RunObservation obs;
-    HbTracker hb;
-    if (config.prune == PruneMode::HappensBefore)
-        machine.addListener(&hb);
-
-    DporTracker dpor;
-    SleepEval sleepEval;
-    if (config.dpor) {
-        dpor.reset(program->numThreads());
-        machine.addListener(&dpor);
-        sleepEval.reset(sleep, prefix.empty() ? 0 : prefix.size() - 1);
-    }
+    RunTracker run(config);
+    run.attach(machine, *program);
     if (trace != nullptr)
         machine.addListener(trace);
-
-    std::size_t decision = 0;
+    run.begin(prefix, insert_sig, sleep);
     machine.setDecisionHandler(
         [&](const std::vector<ThreadId> &runnable) {
-            // Close the previous slice first: the pruning signature below
-            // must reflect every slice executed *before* this decision.
-            if (config.dpor) {
-                dpor.onDecision(runnable, sched_ptr->chosenIndices());
-                sleepEval.advance(dpor.hb());
-            }
-            // Both pruning modes work at decision granularity: if the
-            // fingerprint of the execution prefix repeats, every
-            // continuation from here was already reachable from the
-            // earlier occurrence, so branches past this decision need not
-            // be expanded. StateHash fingerprints the reached *state*
-            // (merging state-equal prefixes even when their traces
-            // differ, the paper's improvement); HappensBefore fingerprints
-            // the *trace* (the CHESS approximation). Decisions before
-            // prefix.size() are shared with the ancestor run that spawned
-            // this prefix and were recorded by it already.
-            if (config.prune != PruneMode::None &&
-                decision >= prefix.size() &&
-                obs.pruneAt == noDecision) {
-                // HappensBefore merges equal *traces*; trace-equivalent
-                // prefixes always have the same length, so folding the
-                // depth in costs nothing — and without it a decision whose
-                // slice emitted no sync event (a pre-acquire switch point)
-                // would collide with its own predecessor and truncate the
-                // run's expansion. States, by contrast, merge at any depth.
-                std::uint64_t sig =
-                    config.prune == PruneMode::StateHash
-                        ? machine.stateSignature()
-                        : mixSignature(hb.value(), decision);
-                // Sleep sets make continuations a function of (state,
-                // sleep set), not state alone: fold the active entries in
-                // so states reached with different sleep sets never
-                // dedup against each other (the classic sleep-set x
-                // state-caching unsoundness).
-                if (config.dpor)
-                    sig = sleepEval.foldActive(sig);
-                for (ThreadId t : runnable)
-                    sig = mixSignature(sig, t + 1);
-                if (!insert_sig(sig))
-                    obs.pruneAt = decision;
-            }
-            ++decision;
+            run.onDecision(machine, runnable, script.chosenIndices());
         });
-
-    machine.setCheckpointHandler([&](const sim::CheckpointInfo &info) {
-        if (info.kind == sim::CheckpointKind::ProgramEnd) {
-            hashing::ModHash sum;
-            for (ThreadId t = 0; t < machine.numThreads(); ++t)
-                sum += hashing::ModHash(machine.threadHash(t));
-            obs.finalState = sum.raw();
-        }
-    });
-
     machine.run(*program);
-
-    if (config.dpor) {
-        dpor.finishRun(sched_ptr->chosenIndices());
-        sleepEval.advance(dpor.hb());
-        obs.dpor = std::make_shared<const DporRunData>(
-            dpor.takeRunData(sleepEval.takeWakeAt()));
-    }
-
-    obs.fanout = sched_ptr->decisionFanout();
-    obs.path = sched_ptr->chosenIndices();
-    obs.prevIdx = sched_ptr->previousIndices();
-    // Prefix sums of preemptions: decision d preempts when the previous
-    // thread was runnable but a different one was chosen.
-    obs.preemptionsBefore.resize(obs.fanout.size() + 1, 0);
-    for (std::size_t d = 0; d < obs.fanout.size(); ++d) {
-        const bool preempted =
-            obs.prevIdx[d] >= 0 &&
-            obs.path[d] != static_cast<std::uint32_t>(obs.prevIdx[d]);
-        obs.preemptionsBefore[d + 1] =
-            obs.preemptionsBefore[d] + (preempted ? 1 : 0);
-    }
-    return obs;
+    return run.observe(machine, script);
 }
 
 void
@@ -242,95 +106,221 @@ expandBranches(const RunObservation &obs, std::size_t prefix_size,
 
 } // namespace detail
 
-ExploreResult
-explore(const check::ProgramFactory &factory,
-        const sim::MachineConfig &machine_template,
-        const ExploreConfig &config)
+namespace
 {
+
+/**
+ * Shard-locked signature set: a state reached by any worker immediately
+ * prunes every worker's branches, without a single hot lock. Signatures
+ * are already avalanche-mixed by the explorer, so the low bits pick the
+ * shard uniformly.
+ */
+class ShardedSignatureSet
+{
+  public:
+    bool
+    insert(std::uint64_t sig)
+    {
+        Shard &shard = shards[sig % shards.size()];
+        std::lock_guard<std::mutex> lock(shard.mu);
+        return shard.seen.insert(sig).second;
+    }
+
+  private:
+    struct Shard
+    {
+        std::mutex mu;
+        std::unordered_set<std::uint64_t> seen;
+    };
+    std::array<Shard, 64> shards;
+};
+
+/** Shared LIFO frontier plus the merged result, all under one lock. */
+struct Frontier
+{
+    std::mutex mu;
+    std::condition_variable cv;
+    std::vector<detail::PendingNode> pending;
+    int inFlight = 0;
+    int claimed = 0; ///< Runs handed to workers (capped at maxRuns).
+    bool done = false;
+    std::exception_ptr error; ///< First exception a worker threw.
     ExploreResult result;
-    std::set<std::uint64_t> seen_sigs;
+};
+
+void
+workerLoop(Frontier &frontier, ShardedSignatureSet &seen,
+           const check::ProgramFactory &factory,
+           const sim::MachineConfig &machine_template,
+           const ExploreConfig &config, CheckpointTree *tree,
+           BranchLedger *ledger, std::size_t worker_id)
+{
+    ExploreStats local;
     const detail::SignatureInsert insert_sig =
-        [&seen_sigs, &result](std::uint64_t sig) {
-            ++result.stats.sigInserts;
-            const bool fresh = seen_sigs.insert(sig).second;
+        [&seen, &local](std::uint64_t sig) {
+            // icheck-lint: allow(C2): `local` is worker-private; merged
+            // into the shared result under frontier.mu by flush_stats.
+            ++local.sigInserts;
+            const bool fresh = seen.insert(sig);
             if (fresh)
-                ++result.stats.sigUnique;
+                ++local.sigUnique;
             return fresh;
         };
 
-    // Prefix sharing: one persistent machine plus a checkpoint tree,
-    // unless disabled or unsupported (TSan builds). Either way every
-    // observation — and therefore the whole ExploreResult minus stats —
-    // is byte-identical. Per-run tracing forces cold runs: a trace must
-    // cover its schedule from the start.
-    const bool warm = config.checkpoints && PrefixEngine::supported() &&
-                      config.traceDir.empty();
-    std::unique_ptr<CheckpointTree> tree;
+    // With a checkpoint tree, this worker drives a persistent machine
+    // whose snapshots it shares (keyed by worker id: snapshots are
+    // machine-affine, so workers never restore each other's).
     std::unique_ptr<PrefixEngine> engine;
-    if (warm) {
-        tree = std::make_unique<CheckpointTree>(
-            config.checkpointBudgetBytes);
-        engine = std::make_unique<PrefixEngine>(
-            factory, machine_template, config, *tree, 0);
+    if (tree != nullptr) {
+        engine = std::make_unique<PrefixEngine>(factory, machine_template,
+                                                config, *tree, worker_id);
     }
 
-    std::unique_ptr<BranchLedger> ledger;
-    if (config.dpor)
-        ledger = std::make_unique<BranchLedger>();
-    result.stats.dporActive = config.dpor;
+    // Called with frontier.mu held, on every exit path.
+    const auto flush_stats = [&]() {
+        if (engine)
+            local.merge(engine->stats());
+        frontier.result.stats.merge(local);
+        local = ExploreStats{};
+    };
 
-    std::vector<detail::PendingNode> pending;
-    pending.push_back({});
-
-    while (!pending.empty() && result.runsExecuted < config.maxRuns) {
-        const detail::PendingNode node = std::move(pending.back());
-        pending.pop_back();
+    for (;;) {
+        detail::PendingNode node;
+        int run_ordinal = 0;
+        {
+            std::unique_lock<std::mutex> lock(frontier.mu);
+            for (;;) {
+                if (frontier.done) {
+                    flush_stats();
+                    return;
+                }
+                if (frontier.claimed >= config.maxRuns) {
+                    frontier.done = true;
+                    flush_stats();
+                    frontier.cv.notify_all();
+                    return;
+                }
+                if (!frontier.pending.empty()) {
+                    node = std::move(frontier.pending.back());
+                    frontier.pending.pop_back();
+                    ++frontier.inFlight;
+                    run_ordinal = frontier.claimed;
+                    ++frontier.claimed;
+                    break;
+                }
+                if (frontier.inFlight == 0) {
+                    // Nothing queued, nothing running: search complete.
+                    frontier.done = true;
+                    flush_stats();
+                    frontier.cv.notify_all();
+                    return;
+                }
+                frontier.cv.wait(lock);
+            }
+        }
 
         std::unique_ptr<sim::ChromeTraceBuilder> trace;
         if (!config.traceDir.empty()) {
             trace = std::make_unique<sim::ChromeTraceBuilder>(
-                "run " + std::to_string(result.runsExecuted) +
-                " (depth " + std::to_string(node.prefix.size()) + ")");
+                "run " + std::to_string(run_ordinal) + " (depth " +
+                std::to_string(node.prefix.size()) + ")");
         }
         const detail::RunObservation obs =
-            warm ? engine->runOnce(node.prefix, insert_sig, &node.sleep)
-                 : detail::runOnce(factory, machine_template, config,
-                                   node.prefix, insert_sig, &node.sleep,
-                                   trace.get());
+            engine ? engine->runOnce(node.prefix, insert_sig, &node.sleep)
+                   : detail::runOnce(factory, machine_template, config,
+                                     node.prefix, insert_sig, &node.sleep,
+                                     trace.get());
         if (trace != nullptr)
-            detail::writeRunTrace(config.traceDir, result.runsExecuted,
-                                  *trace);
-        ++result.runsExecuted;
-        if (!warm) {
-            ++result.stats.nodesExpanded;
-            result.stats.decisionsExecuted += obs.fanout.size();
+            detail::writeRunTrace(config.traceDir, run_ordinal, *trace);
+        if (!engine) {
+            ++local.nodesExpanded;
+            local.decisionsExecuted += obs.fanout.size();
         }
-        result.finalStates.insert(obs.finalState);
-
+        std::vector<detail::PendingNode> children;
+        const auto emit = [&children](detail::PendingNode child) {
+            children.push_back(std::move(child));
+        };
         const detail::ExpandCounts counts =
-            config.dpor
-                ? detail::expandDpor(
-                      obs, node, config, *ledger, result.stats,
-                      [&pending](detail::PendingNode child) {
-                          pending.push_back(std::move(child));
-                      })
+            ledger != nullptr
+                ? detail::expandDpor(obs, node, config, *ledger, local, emit)
                 : detail::expandBranches(
                       obs, node.prefix.size(), config,
-                      [&pending](std::vector<std::uint32_t> next) {
-                          pending.push_back({std::move(next), {}});
+                      [&children](std::vector<std::uint32_t> next) {
+                          children.push_back({std::move(next), {}});
                       });
-        result.branchesPruned += counts.pruned;
-        result.branchesBoundedOut += counts.boundedOut;
-    }
 
-    result.exhausted = pending.empty();
-    if (warm) {
-        result.stats.merge(engine->stats());
-        result.stats.checkpointsCreated = tree->createdCount();
-        result.stats.checkpointsEvicted = tree->evictedCount();
-        result.stats.checkpointBytes = tree->residentBytes();
+        {
+            std::lock_guard<std::mutex> lock(frontier.mu);
+            ++frontier.result.runsExecuted;
+            frontier.result.finalStates.insert(obs.finalState);
+            frontier.result.branchesPruned += counts.pruned;
+            frontier.result.branchesBoundedOut += counts.boundedOut;
+            for (detail::PendingNode &child : children)
+                frontier.pending.push_back(std::move(child));
+            --frontier.inFlight;
+        }
+        frontier.cv.notify_all();
     }
-    return result;
+}
+
+} // namespace
+
+ExploreResult
+explore(const check::ProgramFactory &factory,
+        const sim::MachineConfig &machine_template,
+        const ExploreConfig &config, int jobs)
+{
+    ICHECK_ASSERT(jobs >= 1, "explore() needs at least one worker, got ",
+                  jobs);
+    Frontier frontier;
+    frontier.pending.push_back({});
+    frontier.result.stats.dporActive = config.dpor;
+    ShardedSignatureSet seen;
+
+    // Prefix sharing: one persistent machine per worker plus a shared
+    // checkpoint tree, unless disabled or unsupported (TSan builds).
+    // Either way every observation — and therefore the whole
+    // ExploreResult minus stats — is byte-identical. Per-run tracing
+    // forces cold runs: a trace must cover its schedule from the start.
+    const bool warm = config.checkpoints && PrefixEngine::supported() &&
+                      config.traceDir.empty();
+    std::unique_ptr<CheckpointTree> tree;
+    if (warm)
+        tree = std::make_unique<CheckpointTree>(config.checkpointBudgetBytes);
+    std::unique_ptr<BranchLedger> ledger;
+    if (config.dpor)
+        ledger = std::make_unique<BranchLedger>();
+
+    // Worker 0 is the calling thread. A worker that throws stops the
+    // search; the first exception is rethrown once every worker is back.
+    const auto work = [&](std::size_t worker_id) {
+        try {
+            workerLoop(frontier, seen, factory, machine_template, config,
+                       tree.get(), ledger.get(), worker_id);
+        } catch (...) {
+            std::lock_guard<std::mutex> lock(frontier.mu);
+            if (!frontier.error)
+                frontier.error = std::current_exception();
+            frontier.done = true;
+            frontier.cv.notify_all();
+        }
+    };
+    std::vector<std::thread> helpers;
+    for (int w = 1; w < jobs; ++w)
+        helpers.emplace_back(work, static_cast<std::size_t>(w));
+    work(0);
+    for (std::thread &helper : helpers)
+        helper.join();
+    if (frontier.error)
+        std::rethrow_exception(frontier.error);
+
+    frontier.result.exhausted = frontier.pending.empty();
+    if (warm) {
+        frontier.result.stats.checkpointsCreated = tree->createdCount();
+        frontier.result.stats.checkpointsEvicted = tree->evictedCount();
+        frontier.result.stats.checkpointBytes = tree->residentBytes();
+    }
+    return frontier.result;
 }
 
 } // namespace icheck::explore

@@ -5,9 +5,9 @@
  * @file
  * Bounded systematic-testing explorer (Section 6.2).
  *
- * Enumerates thread interleavings of a small program by DFS over
- * scheduling choices (ScriptedScheduler) and compares three search-space
- * reduction strategies:
+ * Enumerates thread interleavings of a small program over scheduling
+ * choices (ScriptedScheduler) and compares three search-space reduction
+ * strategies:
  *
  *  - None: exhaustive enumeration;
  *  - HappensBefore: do not expand branches from a run whose happens-before
@@ -22,6 +22,22 @@
  * progress counters as a program-counter proxy; it is exact for programs
  * whose thread-local state is a function of progress — true of the small
  * test programs used here.
+ *
+ * One search loop serves every job count: a shared LIFO frontier of
+ * schedule prefixes feeds the workers, each executes one scripted run,
+ * expands its unexplored branches and pushes them back, and the pruning
+ * signature set is shared and shard-locked, so a state reached by any
+ * worker prunes every other worker's branches.
+ *
+ * Determinism contract: with one worker the search order, and so the
+ * whole ExploreResult, is a function of the inputs. With more, which run
+ * first claims a signature depends on worker timing. With pruning off
+ * the set of executed prefixes is still exactly the one-worker set (each
+ * prefix is generated once, by its designated parent), so runsExecuted
+ * and finalStates match whenever the search completes within maxRuns.
+ * With pruning on, runsExecuted may differ run to run, but pruning only
+ * ever skips continuations of already-seen states, so an exhausted
+ * search still reports the same finalStates.
  */
 
 #include <cstdint>
@@ -89,8 +105,10 @@ struct ExploreConfig
      * Share schedule prefixes between runs via machine checkpoints: a
      * frontier node restores its deepest checkpointed ancestor and
      * executes only the schedule suffix, instead of cold re-running the
-     * whole prefix. Pure performance — every observation, report, and
-     * hash is byte-identical with this on or off. Automatically falls
+     * whole prefix. Pure performance for programs that keep only
+     * trivially destructible state on their thread stacks (the
+     * SimFiber::restore contract) — every observation, report, and hash
+     * is then byte-identical with this on or off. Automatically falls
      * back to cold re-execution in builds without fiber snapshots
      * (TSan).
      */
@@ -176,19 +194,19 @@ struct ExploreResult
 
 /**
  * Explore interleavings of programs from @p factory on machines built
- * from @p machine_template.
+ * from @p machine_template, over @p jobs >= 1 workers: the calling thread
+ * plus jobs - 1 helper threads, joined before returning.
  */
 ExploreResult explore(const check::ProgramFactory &factory,
                       const sim::MachineConfig &machine_template,
-                      const ExploreConfig &config);
+                      const ExploreConfig &config, int jobs = 1);
 
 namespace detail
 {
 
 /**
  * The single-run / branch-expansion engine underneath explore(), exposed
- * so the parallel exploration frontier (src/runtime) can drive the same
- * search with a shared, thread-safe seen-signature set.
+ * for the prefix engine, the DPOR expansion and the benches.
  */
 
 /**
@@ -246,8 +264,8 @@ struct RunObservation
 
 /**
  * Insert a pruning signature into the seen set; returns true if the
- * signature was new. Sequential search backs this with a plain std::set,
- * the parallel frontier with a sharded mutex-protected set.
+ * signature was new. explore() backs this with a sharded,
+ * mutex-protected set shared by its workers.
  */
 using SignatureInsert = std::function<bool(std::uint64_t)>;
 

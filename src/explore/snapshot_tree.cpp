@@ -8,6 +8,119 @@ namespace icheck::explore
 {
 
 // ---------------------------------------------------------------------------
+// RunTracker
+
+namespace detail
+{
+
+void
+RunTracker::attach(sim::Machine &machine, const sim::Program &program)
+{
+    // Listeners run synchronously, so by each decision the trackers have
+    // seen the whole slice it closes.
+    if (cfg.prune == PruneMode::HappensBefore)
+        machine.addListener(&hb);
+    if (cfg.dpor) {
+        dpor.reset(program.numThreads());
+        machine.addListener(&dpor);
+    }
+}
+
+void
+RunTracker::begin(const std::vector<std::uint32_t> &run_prefix,
+                  const SignatureInsert &insert_sig, const SleepSet *sleep)
+{
+    prefix = &run_prefix;
+    insert = &insert_sig;
+    pruneAt = noDecision;
+    sleepEval.reset(sleep, run_prefix.empty() ? 0 : run_prefix.size() - 1);
+}
+
+void
+RunTracker::onDecision(const sim::Machine &machine,
+                       const std::vector<ThreadId> &runnable,
+                       const std::vector<std::uint32_t> &executed)
+{
+    // Close the previous slice first: the pruning signature below, and
+    // any checkpoint the prefix engine takes after it, must reflect every
+    // slice executed *before* this decision. After a restore the handler
+    // re-fires at the restored decision; DporTracker::onDecision is
+    // idempotent against that.
+    if (cfg.dpor) {
+        dpor.onDecision(runnable, executed);
+        sleepEval.advance(dpor.hb());
+    }
+
+    // Both pruning modes work at decision granularity: if the
+    // fingerprint of the execution prefix repeats, every continuation
+    // from here was already reachable from the earlier occurrence, so
+    // branches past this decision need not be expanded. StateHash
+    // fingerprints the reached *state* (merging state-equal prefixes even
+    // when their traces differ, the paper's improvement); HappensBefore
+    // fingerprints the *trace* (the CHESS approximation). Decisions
+    // before prefix.size() are shared with the ancestor run that spawned
+    // this prefix and were recorded by it already; a restored run does
+    // not even execute those before its checkpoint.
+    const std::size_t decision = executed.size();
+    if (cfg.prune == PruneMode::None || decision < prefix->size() ||
+        pruneAt != noDecision)
+        return;
+    // HappensBefore merges equal *traces*; trace-equivalent prefixes
+    // always have the same length, so folding the depth in costs nothing
+    // — and without it a decision whose slice emitted no sync event (a
+    // pre-acquire switch point) would collide with its own predecessor
+    // and truncate the run's expansion. States, by contrast, merge at
+    // any depth.
+    std::uint64_t sig = cfg.prune == PruneMode::StateHash
+                            ? machine.stateSignature()
+                            : mixSignature(hb.value(), decision);
+    // Sleep sets make continuations a function of (state, sleep set),
+    // not state alone: fold the active entries in so states reached with
+    // different sleep sets never dedup against each other (the classic
+    // sleep-set x state-caching unsoundness).
+    if (cfg.dpor)
+        sig = sleepEval.foldActive(sig);
+    for (ThreadId t : runnable)
+        sig = mixSignature(sig, t + 1);
+    if (!(*insert)(sig))
+        pruneAt = decision;
+}
+
+RunObservation
+RunTracker::observe(const sim::Machine &machine,
+                    const sim::ScriptedScheduler &sched)
+{
+    RunObservation obs;
+    obs.fanout = sched.decisionFanout();
+    obs.path = sched.chosenIndices();
+    obs.prevIdx = sched.previousIndices();
+    obs.pruneAt = pruneAt;
+    hashing::ModHash sum;
+    for (ThreadId t = 0; t < machine.numThreads(); ++t)
+        sum += hashing::ModHash(machine.threadHash(t));
+    obs.finalState = sum.raw();
+    if (cfg.dpor) {
+        dpor.finishRun(obs.path);
+        sleepEval.advance(dpor.hb());
+        obs.dpor = std::make_shared<const DporRunData>(
+            dpor.takeRunData(sleepEval.takeWakeAt()));
+    }
+    // Prefix sums of preemptions: decision d preempts when the previous
+    // thread was runnable but a different one was chosen.
+    obs.preemptionsBefore.resize(obs.fanout.size() + 1, 0);
+    for (std::size_t d = 0; d < obs.fanout.size(); ++d) {
+        const bool preempted =
+            obs.prevIdx[d] >= 0 &&
+            obs.path[d] != static_cast<std::uint32_t>(obs.prevIdx[d]);
+        obs.preemptionsBefore[d + 1] =
+            obs.preemptionsBefore[d] + (preempted ? 1 : 0);
+    }
+    return obs;
+}
+
+} // namespace detail
+
+// ---------------------------------------------------------------------------
 // CheckpointTree
 
 CheckpointTree::CheckpointTree(std::size_t budget_bytes)
@@ -171,7 +284,7 @@ PrefixEngine::PrefixEngine(const check::ProgramFactory &factory,
                            CheckpointTree &checkpoint_tree,
                            std::size_t owner_id)
     : cfg(config), tree(checkpoint_tree), owner(owner_id),
-      program(factory()), machine(machine_template)
+      program(factory()), machine(machine_template), run(cfg)
 {
     ICHECK_ASSERT(supported(),
                   "PrefixEngine requires fiber snapshots (use the cold "
@@ -182,21 +295,7 @@ PrefixEngine::PrefixEngine(const check::ProgramFactory &factory,
         [this](const std::vector<ThreadId> &runnable) {
             onDecision(runnable);
         });
-    machine.setCheckpointHandler(
-        [this](const sim::CheckpointInfo &info) {
-            if (info.kind == sim::CheckpointKind::ProgramEnd) {
-                hashing::ModHash sum;
-                for (ThreadId t = 0; t < machine.numThreads(); ++t)
-                    sum += hashing::ModHash(machine.threadHash(t));
-                finalState = sum.raw();
-            }
-        });
-    if (cfg.prune == PruneMode::HappensBefore)
-        machine.addListener(&hbState);
-    if (cfg.dpor) {
-        dporState.reset(program->numThreads());
-        machine.addListener(&dporState);
-    }
+    run.attach(machine, *program);
 
     // The scheduler must be injected before beginRun() (which otherwise
     // installs a RandomScheduler); runOnce() replaces it per run.
@@ -208,8 +307,8 @@ PrefixEngine::PrefixEngine(const check::ProgramFactory &factory,
 
     machine.beginRun(*program);
     rootSnap = machine.checkpoint();
-    rootHb = hbState;
-    rootDpor = dporState;
+    rootHb = run.hb;
+    rootDpor = run.dpor;
 }
 
 PrefixEngine::~PrefixEngine() = default;
@@ -217,45 +316,15 @@ PrefixEngine::~PrefixEngine() = default;
 void
 PrefixEngine::onDecision(const std::vector<ThreadId> &runnable)
 {
-    const std::vector<std::uint32_t> &prefix = *curPrefix;
     const std::vector<std::uint32_t> &executed = sched->chosenIndices();
-
-    // Close the previous slice first (identical to the cold path): the
-    // pruning signature and any checkpoint taken below must reflect every
-    // slice executed before this decision. After a restore the handler
-    // re-fires at startDecision; DporTracker::onDecision is idempotent
-    // against that.
-    if (cfg.dpor) {
-        dporState.onDecision(runnable, executed);
-        sleepEval.advance(dporState.hb());
-    }
+    const std::size_t decision = executed.size();
+    run.onDecision(machine, runnable, executed);
 
     // Fold choices appended since the last decision into the rolling
-    // path hash (the handler runs before pick(), so the history holds
-    // exactly `decision` entries).
+    // path hash.
     while (pathHashLen < executed.size()) {
         pathHash = mixSignature(pathHash, executed[pathHashLen] + 1ULL);
         ++pathHashLen;
-    }
-
-    // Pruning-signature logic, identical to the cold path: decisions
-    // before prefix.size() were recorded by the ancestor run that spawned
-    // this prefix. Decisions before startDecision never execute at all —
-    // they were skipped by the checkpoint restore, which is exactly why
-    // the condition must use prefix.size(), not startDecision.
-    if (cfg.prune != PruneMode::None && decision >= prefix.size() &&
-        pruneAt == noDecision) {
-        // Depth fold for HappensBefore mirrors the cold path exactly; see
-        // the comment there.
-        std::uint64_t sig = cfg.prune == PruneMode::StateHash
-                                ? machine.stateSignature()
-                                : mixSignature(hbState.value(), decision);
-        if (cfg.dpor)
-            sig = sleepEval.foldActive(sig);
-        for (ThreadId t : runnable)
-            sig = mixSignature(sig, t + 1);
-        if (!(*curInsert)(sig))
-            pruneAt = decision;
     }
 
     // Checkpoint creation. Eligible decisions: past the (pinned) root,
@@ -266,10 +335,10 @@ PrefixEngine::onDecision(const std::vector<ThreadId> &runnable)
     // current prefix's own branch decision bypasses the stride: every
     // sibling emitted at that branch restores from it with zero replayed
     // decisions, which is what makes per-trace cost O(suffix).
-    const bool branchPoint =
-        cfg.dpor && !prefix.empty() && decision + 1 == prefix.size();
+    const bool branchPoint = cfg.dpor && !run.prefix->empty() &&
+                             decision + 1 == run.prefix->size();
     if (decision >= 1 && runnable.size() > 1 &&
-        decision < cfg.maxDepth && decision < pruneAt &&
+        decision < cfg.maxDepth && decision < run.pruneAt &&
         (cfg.checkpointStride <= 1 ||
          decision % cfg.checkpointStride == 0 || branchPoint) &&
         !tree.containsKeyed(pathHash, owner, executed)) {
@@ -281,9 +350,9 @@ PrefixEngine::onDecision(const std::vector<ThreadId> &runnable)
         entry.lastPick = sched->lastPicked();
         entry.snap = machine.checkpoint();
         if (cfg.prune == PruneMode::HappensBefore)
-            entry.hb = std::make_shared<HbTracker>(hbState);
+            entry.hb = std::make_shared<HbTracker>(run.hb);
         if (cfg.dpor)
-            entry.dpor = std::make_shared<DporTracker>(dporState);
+            entry.dpor = std::make_shared<DporTracker>(run.dpor);
         entry.bytes = entry.snap->bytes() +
                       entry.chosen.size() * 16 + sizeof(CheckpointEntry);
         if (entry.dpor != nullptr) {
@@ -292,8 +361,6 @@ PrefixEngine::onDecision(const std::vector<ThreadId> &runnable)
         }
         tree.insert(std::move(entry));
     }
-
-    ++decision;
 }
 
 detail::RunObservation
@@ -308,6 +375,7 @@ PrefixEngine::runOnce(const std::vector<std::uint32_t> &prefix,
 
     const std::shared_ptr<const CheckpointEntry> anc =
         tree.deepestAncestor(owner, prefix);
+    std::size_t start_decision = 0;
     if (anc) {
         // The lease (anc) keeps the snapshot alive even if the tree
         // evicts the entry while we restore.
@@ -317,67 +385,39 @@ PrefixEngine::runOnce(const std::vector<std::uint32_t> &prefix,
         if (cfg.prune == PruneMode::HappensBefore) {
             ICHECK_ASSERT(anc->hb != nullptr,
                           "checkpoint without HB state under HB pruning");
-            hbState = *anc->hb;
+            run.hb = *anc->hb;
         }
         if (cfg.dpor) {
             ICHECK_ASSERT(anc->dpor != nullptr,
                           "checkpoint without slice state under DPOR");
-            dporState = *anc->dpor;
+            run.dpor = *anc->dpor;
         }
-        startDecision = anc->depth();
+        start_decision = anc->depth();
         ++counters.checkpointHits;
     } else {
         machine.restore(*rootSnap);
         if (cfg.prune == PruneMode::HappensBefore)
-            hbState = rootHb;
+            run.hb = rootHb;
         if (cfg.dpor)
-            dporState = rootDpor;
-        startDecision = 0;
+            run.dpor = rootDpor;
         ++counters.checkpointMisses;
     }
     machine.setScheduler(std::move(fresh));
+    run.begin(prefix, insert_sig, sleep);
 
-    decision = startDecision;
-    pruneAt = noDecision;
-    curPrefix = &prefix;
-    curInsert = &insert_sig;
-    if (cfg.dpor)
-        sleepEval.reset(sleep, prefix.empty() ? 0 : prefix.size() - 1);
     // Seed the rolling path hash from the restored choice history; the
     // per-decision folds in onDecision() keep it current from here.
     pathHash = CheckpointTree::hashPrefix(
         owner, sched->chosenIndices().data(),
         sched->chosenIndices().size());
     pathHashLen = sched->chosenIndices().size();
-    counters.decisionsRestored += startDecision;
+    counters.decisionsRestored += start_decision;
 
     machine.finishRun();
 
-    detail::RunObservation obs;
-    obs.fanout = sched->decisionFanout();
-    obs.path = sched->chosenIndices();
-    obs.prevIdx = sched->previousIndices();
-    obs.pruneAt = pruneAt;
-    obs.finalState = finalState;
-    if (cfg.dpor) {
-        dporState.finishRun(obs.path);
-        sleepEval.advance(dporState.hb());
-        obs.dpor = std::make_shared<const detail::DporRunData>(
-            dporState.takeRunData(sleepEval.takeWakeAt()));
-    }
-    obs.preemptionsBefore.resize(obs.fanout.size() + 1, 0);
-    for (std::size_t d = 0; d < obs.fanout.size(); ++d) {
-        const bool preempted =
-            obs.prevIdx[d] >= 0 &&
-            obs.path[d] != static_cast<std::uint32_t>(obs.prevIdx[d]);
-        obs.preemptionsBefore[d + 1] =
-            obs.preemptionsBefore[d] + (preempted ? 1 : 0);
-    }
-
-    counters.decisionsExecuted += obs.fanout.size() - startDecision;
+    detail::RunObservation obs = run.observe(machine, *sched);
+    counters.decisionsExecuted += obs.fanout.size() - start_decision;
     ++counters.nodesExpanded;
-    curPrefix = nullptr;
-    curInsert = nullptr;
     return obs;
 }
 

@@ -3,8 +3,8 @@
 
 /**
  * @file
- * Prefix-sharing exploration: the checkpoint tree and the per-worker
- * prefix engine.
+ * The explorer's run engines: the per-run tracker both run paths share,
+ * the checkpoint tree, and the per-worker prefix engine.
  *
  * The systematic-testing explorer enumerates schedule prefixes. Cold
  * exploration re-executes every prefix from scratch, so a run at depth d
@@ -42,6 +42,57 @@
 
 namespace icheck::explore
 {
+
+namespace detail
+{
+
+/**
+ * One run's pruning state and rule, shared by cold runOnce() and
+ * PrefixEngine so the rule exists once. It owns the trackers the config
+ * asks for (HB signature, DPOR slice analysis, sleep-set wake tracking);
+ * onDecision() is the machine's decision handler and observe() builds
+ * the RunObservation once the run has finished. The prefix engine
+ * rewinds `hb` and `dpor` from its checkpoints.
+ */
+struct RunTracker
+{
+    explicit RunTracker(const ExploreConfig &config) : cfg(config) {}
+
+    /** Subscribe the trackers cfg needs to @p machine, which will run
+     *  @p program. */
+    void attach(sim::Machine &machine, const sim::Program &program);
+
+    /** Start a run past @p prefix; @p prefix and @p insert_sig must
+     *  outlive it, and @p sleep (null = empty set) is the node's sleep
+     *  set. */
+    void begin(const std::vector<std::uint32_t> &prefix,
+               const SignatureInsert &insert_sig, const SleepSet *sleep);
+
+    /**
+     * The decision handler. Closes the slice that just finished, then,
+     * past the prefix and until the first repeat, inserts the decision's
+     * pruning signature into the seen set; a repeat sets pruneAt.
+     * @p executed is the scheduler's choice history, whose size is the
+     * decision index (the handler runs before the pick).
+     */
+    void onDecision(const sim::Machine &machine,
+                    const std::vector<ThreadId> &runnable,
+                    const std::vector<std::uint32_t> &executed);
+
+    /** The observation builder, for the run @p sched scripted. */
+    RunObservation observe(const sim::Machine &machine,
+                           const sim::ScriptedScheduler &sched);
+
+    const ExploreConfig &cfg;
+    HbTracker hb;     ///< Fed under HappensBefore pruning only.
+    DporTracker dpor; ///< Fed under ExploreConfig::dpor only.
+    SleepEval sleepEval;
+    const std::vector<std::uint32_t> *prefix = nullptr;
+    const SignatureInsert *insert = nullptr;
+    std::size_t pruneAt = noDecision;
+};
+
+} // namespace detail
 
 /**
  * One checkpoint: a machine snapshot taken at scheduling decision
@@ -160,9 +211,9 @@ class CheckpointTree
 /**
  * One worker's exploration engine: a persistent Machine + Program pair
  * driven through the checkpoint/restore session API. runOnce() has the
- * exact observable behaviour of detail::runOnce() (cold), but restores
- * the deepest resident ancestor checkpoint instead of re-executing the
- * prefix.
+ * exact observable behaviour of detail::runOnce() (cold), with which it
+ * shares its detail::RunTracker, but restores the deepest resident
+ * ancestor checkpoint instead of re-executing the prefix.
  */
 class PrefixEngine
 {
@@ -212,38 +263,24 @@ class PrefixEngine
     std::unique_ptr<sim::Program> program;
     sim::Machine machine;
     sim::ScriptedScheduler *sched = nullptr; ///< Owned by the machine.
-    HbTracker hbState;
+    detail::RunTracker run;
 
     /** Decision-0 snapshot, pinned for the machine's whole life: kept
      *  outside the tree so eviction can never force an impossible cold
      *  restart of the persistent machine. */
     std::shared_ptr<const sim::MachineSnapshot> rootSnap;
 
-    /** HB-tracker state right after setup (the decision-0 value). */
+    /// @name Tracker states right after setup (the decision-0 values).
+    /// @{
     HbTracker rootHb;
-
-    /// @name DPOR slice analysis (cfg.dpor only; idle otherwise).
-    /// @{
-    DporTracker dporState;
-    DporTracker rootDpor; ///< dporState right after setup.
-    SleepEval sleepEval;
+    DporTracker rootDpor;
     /// @}
-
-    /// @name Per-run state consumed by onDecision().
-    /// @{
-    const std::vector<std::uint32_t> *curPrefix = nullptr;
-    const detail::SignatureInsert *curInsert = nullptr;
-    std::size_t startDecision = 0;
-    std::size_t decision = 0;
-    std::size_t pruneAt = noDecision;
 
     /** Rolling CheckpointTree::hashPrefix of the executed path, folded
      *  incrementally as the scheduler appends choices. */
     std::uint64_t pathHash = 0;
     std::size_t pathHashLen = 0;
-    /// @}
 
-    HashWord finalState = 0;
     ExploreStats counters;
 };
 

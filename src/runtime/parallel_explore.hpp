@@ -3,34 +3,18 @@
 
 /**
  * @file
- * Parallel systematic-testing frontier.
- *
- * Shards the Section 6.2 explorer's scheduling-decision tree across
- * workers: a shared LIFO frontier of schedule prefixes feeds the pool,
- * each worker executes one scripted run (explore::detail::runOnce),
- * expands its unexplored branches, and pushes them back. The pruning
- * signature set is shared and shard-locked, so a state reached by any
- * worker prunes every other worker's branches.
- *
- * Determinism contract: with pruning off, the set of executed prefixes
- * is exactly the sequential explorer's (each prefix is generated once,
- * by its designated parent), so runsExecuted and finalStates match the
- * sequential result whenever the search completes within maxRuns. With
- * pruning on, *which* run first claims a signature depends on worker
- * timing, so runsExecuted may differ run to run — but pruning only ever
- * skips continuations of already-seen states, so an exhausted search
- * still reports the same finalStates.
+ * The runtime's entry to the systematic-testing explorer: resolves a
+ * `--jobs` value the way campaigns do and runs explore::explore(), whose
+ * header states the determinism contract across job counts.
  */
 
 #include "explore/explorer.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace icheck::runtime
 {
 
 /**
- * Explore interleavings like explore::explore(), fanning runs out over
- * @p jobs workers (0 = hardware concurrency; 1 = sequential engine).
+ * explore::explore() over @p jobs workers (0 = hardware concurrency).
  */
 explore::ExploreResult
 exploreParallel(const check::ProgramFactory &factory,

@@ -155,10 +155,16 @@ ThreadPool::parallelFor(std::size_t n,
         });
     }
 
-    std::unique_lock<std::mutex> lock(join->mu);
-    join->done.wait(lock, [&join] { return join->remaining == 0; });
-    if (join->firstError)
-        std::rethrow_exception(join->firstError);
+    // Move the exception out under the lock: the worker that drops the
+    // last reference to `join` then never touches it.
+    std::exception_ptr error;
+    {
+        std::unique_lock<std::mutex> lock(join->mu);
+        join->done.wait(lock, [&join] { return join->remaining == 0; });
+        error = std::move(join->firstError);
+    }
+    if (error)
+        std::rethrow_exception(error);
 }
 
 PoolStats

@@ -58,6 +58,13 @@ expect_usage_error --runs characterize radix --runs 1
 expect_usage_error --runs verify --runs 0
 expect_usage_error --runs explore radix --runs 0
 
+# Every --jobs is a host thread count, capped at 256.
+expect_usage_error --jobs check radix --jobs 257
+expect_usage_error --jobs characterize radix --jobs 257
+expect_usage_error --jobs explore radix --jobs 257
+expect_usage_error --jobs verify --jobs 257
+expect_usage_error --jobs serve --jobs 257
+
 # The removed event-transport flag is an unknown argument now.
 expect_usage_error --transport check radix --transport off
 expect_usage_error --transport explore radix --transport

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 #include <memory>
 
+#include "apps/scales.hpp"
 #include "explore/explorer.hpp"
 #include "explore/snapshot_tree.hpp"
 #include "runtime/parallel_explore.hpp"
@@ -99,19 +100,37 @@ expectSameOutcome(const ExploreResult &warm, const ExploreResult &cold,
 
 TEST(SnapshotExplore, WarmEqualsColdEveryPruneMode)
 {
+    // pbzip2 at the CLI's slicing: its consumers are checkpointed in the
+    // middle of compressing a block, so a restored fiber stack must hold
+    // only trivially destructible state.
+    ExploreConfig pbzip2_cfg;
+    pbzip2_cfg.maxRuns = 40;
+    pbzip2_cfg.quantum = 16;
+    pbzip2_cfg.maxDepth = 24;
+    struct Case
+    {
+        check::ProgramFactory factory;
+        ExploreConfig cfg;
+    };
+    const Case cases[] = {
+        {racyFactory(), baseConfig(PruneMode::None)},
+        {lockedFactory(), baseConfig(PruneMode::None)},
+        {apps::scaledFactory("pbzip2", apps::InputScale::Dev), pbzip2_cfg},
+    };
     for (const PruneMode mode :
          {PruneMode::None, PruneMode::HappensBefore,
           PruneMode::StateHash}) {
-        for (const auto &factory : {racyFactory(), lockedFactory()}) {
-            ExploreConfig warm_cfg = baseConfig(mode);
+        for (const Case &c : cases) {
+            ExploreConfig warm_cfg = c.cfg;
+            warm_cfg.prune = mode;
             warm_cfg.checkpoints = true;
-            ExploreConfig cold_cfg = baseConfig(mode);
+            ExploreConfig cold_cfg = warm_cfg;
             cold_cfg.checkpoints = false;
 
             const ExploreResult warm =
-                explore(factory, machineConfig(), warm_cfg);
+                explore(c.factory, machineConfig(), warm_cfg);
             const ExploreResult cold =
-                explore(factory, machineConfig(), cold_cfg);
+                explore(c.factory, machineConfig(), cold_cfg);
             expectSameOutcome(warm, cold, "prune-mode sweep");
             if (PrefixEngine::supported())
                 EXPECT_TRUE(warm.stats.checkpointing);

@@ -1,14 +1,16 @@
 /**
  * @file
- * Parallel exploration frontier: exhaustive parallel search covers
- * exactly the sequential explorer's schedule tree (same run count, same
- * final states), and pruned parallel search converges to the same final
- * states with sound (never-unsound) pruning.
+ * Parallel exploration: an exhaustive multi-worker search covers exactly
+ * the one-worker schedule tree (same run count, same final states), and a
+ * pruned multi-worker search converges to the same final states with
+ * sound (never-unsound) pruning.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
+#include <stdexcept>
 
 #include "runtime/parallel_explore.hpp"
 #include "sim/lambda_program.hpp"
@@ -98,6 +100,28 @@ TEST(ParallelExplore, StatePruningFindsAllFinalStates)
               exhaustiveConfig().maxRuns);
 }
 
+TEST(ParallelExplore, WorkerExceptionReachesCaller)
+{
+    // Cold runs build one program each; the third build throws. Whichever
+    // worker hits it, the search stops and the exception surfaces from
+    // the call once every worker is back.
+    const auto built = std::make_shared<std::atomic<int>>(0);
+    const check::ProgramFactory inner = racyIncrement();
+    const check::ProgramFactory factory = [built, inner] {
+        if (built->fetch_add(1) == 2)
+            throw std::runtime_error("third program build fails");
+        return inner();
+    };
+    explore::ExploreConfig cfg = exhaustiveConfig();
+    cfg.checkpoints = false;
+    for (const int jobs : {1, 4}) {
+        built->store(0);
+        EXPECT_THROW(exploreParallel(factory, machineConfig(), cfg, jobs),
+                     std::runtime_error)
+            << "jobs=" << jobs;
+    }
+}
+
 TEST(ParallelExplore, RespectsMaxRunsCap)
 {
     const auto factory = racyIncrement();
@@ -108,19 +132,6 @@ TEST(ParallelExplore, RespectsMaxRunsCap)
         exploreParallel(factory, machineConfig(), cfg, 4);
     EXPECT_LE(parallel.runsExecuted, 3);
     EXPECT_FALSE(parallel.exhausted);
-}
-
-TEST(ParallelExplore, SingleJobDelegatesToSequentialEngine)
-{
-    const auto factory = racyIncrement();
-    const explore::ExploreConfig cfg = exhaustiveConfig();
-    const explore::ExploreResult sequential =
-        explore::explore(factory, machineConfig(), cfg);
-    const explore::ExploreResult one_job =
-        exploreParallel(factory, machineConfig(), cfg, 1);
-    EXPECT_EQ(one_job.runsExecuted, sequential.runsExecuted);
-    EXPECT_EQ(one_job.finalStates, sequential.finalStates);
-    EXPECT_EQ(one_job.exhausted, sequential.exhausted);
 }
 
 } // namespace

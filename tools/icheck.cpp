@@ -73,6 +73,9 @@ namespace
 
 constexpr std::uint64_t kU64Max = std::numeric_limits<std::uint64_t>::max();
 
+/** Upper bound of every --jobs flag: each worker is a host thread. */
+constexpr int kMaxJobs = 256;
+
 int
 usage()
 {
@@ -110,7 +113,8 @@ usage()
         "--jobs N fans campaign runs out over N worker threads (default:\n"
         "hardware concurrency); reports are bit-identical for any N.\n"
         "Numeric flags take plain decimal digits; --runs is at least 2\n"
-        "for campaigns and at least 1 for explore, --jobs 0 means auto.\n"
+        "for campaigns and at least 1 for explore; --jobs is at most\n"
+        "256, and 0 means auto.\n"
         "--jsonl FILE streams per-run records and campaign counters.\n"
         "--json prints the canonical one-line report (byte-identical to\n"
         "the report a serve daemon returns for the same request).\n"
@@ -322,7 +326,7 @@ cmdCheck(const std::string &app_name, Args &args)
     const bool json_report = args.flag("--json");
     const apps::InputScale scale =
         parseScale(args.value("--input").value_or("medium"));
-    const int jobs = args.count("--jobs", 0, 0);
+    const int jobs = args.count("--jobs", 0, 0, kMaxJobs);
     const std::optional<std::string> jsonl_path = args.value("--jsonl");
     const std::optional<std::string> bug_name = args.value("--bug");
     const std::optional<std::string> race_log_path =
@@ -424,7 +428,7 @@ cmdCharacterize(const std::string &app_name, Args &args)
     const apps::AppInfo &app = apps::findApp(app_name);
     apps::CharacterizeConfig cfg;
     cfg.runs = args.count("--runs", 30, 2);
-    cfg.jobs = args.count("--jobs", 0, 0);
+    cfg.jobs = args.count("--jobs", 0, 0, kMaxJobs);
     if (args.leftovers())
         return usage();
     const apps::Table1Row row = apps::characterizeApp(app, cfg);
@@ -511,7 +515,7 @@ cmdExplore(const std::string &app_name, Args &args)
             ICHECK_FATAL("cannot create --trace-dir '", cfg.traceDir,
                          "': ", ec.message());
     }
-    const int jobs = args.count("--jobs", 1, 0);
+    const int jobs = args.count("--jobs", 1, 0, kMaxJobs);
     const bool show_stats = args.flag("--stats");
     if (args.leftovers())
         return usage();
@@ -519,9 +523,7 @@ cmdExplore(const std::string &app_name, Args &args)
     sim::MachineConfig mc;
     mc.numCores = 2;
     const explore::ExploreResult result =
-        jobs == 1
-            ? explore::explore(app.factory, mc, cfg)
-            : runtime::exploreParallel(app.factory, mc, cfg, jobs);
+        runtime::exploreParallel(app.factory, mc, cfg, jobs);
 
     std::printf("%s: %d schedules explored (%s), %zu final state%s\n",
                 app.name.c_str(), result.runsExecuted,
@@ -602,7 +604,7 @@ cmdVerify(Args &args)
 {
     apps::CharacterizeConfig cfg;
     cfg.runs = args.count("--runs", 12, 2);
-    cfg.jobs = args.count("--jobs", 0, 0);
+    cfg.jobs = args.count("--jobs", 0, 0, kMaxJobs);
     if (args.leftovers())
         return usage();
     int failures = 0;
@@ -685,7 +687,7 @@ int
 cmdServe(Args &args)
 {
     service::ServiceConfig cfg;
-    cfg.jobs = args.count("--jobs", 0, 0);
+    cfg.jobs = args.count("--jobs", 0, 0, kMaxJobs);
     cfg.dispatchers = args.count("--dispatchers", 2, 1, 64);
     cfg.queueDepth = args.number("--queue-depth", 64, 1, 65536);
     cfg.maxLineBytes =

@@ -43,8 +43,8 @@ struct LintConfig
      * pieces of src/service/ are in scope.
      */
     std::vector<std::string> lockedCounterScope = {
-        "src/runtime/", "src/service/daemon", "src/service/executor",
-        "src/service/serve_loop"};
+        "src/runtime/", "src/explore/explorer", "src/service/daemon",
+        "src/service/executor", "src/service/serve_loop"};
 
     /**
      * An object is considered guarded when at least this fraction of
