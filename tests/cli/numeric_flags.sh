@@ -1,28 +1,32 @@
 #!/usr/bin/env bash
-# Every numeric flag of every icheck subcommand must reject a malformed or
-# out-of-range value with exit 2 (usage error) and an error on stderr that
-# names the flag; so must the removed event-transport flag. No value here
-# is valid, so no command gets as far as running a campaign or a daemon.
+# Every numeric flag of every icheck subcommand, and of loadgen when it is
+# given, must reject a malformed or out-of-range value with exit 2 (usage
+# error) and an error on stderr that names the flag; so must the removed
+# icheck event-transport flag and loadgen's removed --baseline. No value
+# here is valid, so no command gets as far as running a campaign or a
+# daemon.
 #
-#   numeric_flags.sh path/to/icheck
+#   numeric_flags.sh path/to/icheck [path/to/loadgen]
 set -u
 
 icheck="$1"
+loadgen="${2:-}"
+tool="${icheck}"
 failures=0
 cases=0
 
-# expect_usage_error FLAG ARGS... : run `icheck ARGS...`, require exit 2
+# expect_usage_error FLAG ARGS... : run `$tool ARGS...`, require exit 2
 # and FLAG somewhere on stderr. The timeout turns a value that is wrongly
 # accepted by serve or route (which would start a daemon) into a failure.
 expect_usage_error() {
     local flag="$1"
     shift
     local err rc
-    err="$(timeout -s KILL 20 "${icheck}" "$@" 2>&1 >/dev/null </dev/null)"
+    err="$(timeout -s KILL 20 "${tool}" "$@" 2>&1 >/dev/null </dev/null)"
     rc=$?
     cases=$((cases + 1))
     if [ "${rc}" -ne 2 ] || ! grep -qF -- "${flag}" <<<"${err}"; then
-        echo "FAIL: icheck $* -> exit ${rc}; stderr: ${err}" >&2
+        echo "FAIL: ${tool##*/} $* -> exit ${rc}; stderr: ${err}" >&2
         failures=$((failures + 1))
     fi
 }
@@ -68,6 +72,25 @@ expect_usage_error --jobs serve --jobs 257
 # The removed event-transport flag is an unknown argument now.
 expect_usage_error --transport check radix --transport off
 expect_usage_error --transport explore radix --transport
+
+# loadgen forwards --jobs and --dispatchers to `icheck serve`, so they
+# take serve's bounds; --runs is at least 2 as for check, and --clients
+# (one thread each) is at most 256. A summary written to /dev/null keeps
+# a wrongly accepted value from leaving a file behind.
+if [ -n "${loadgen}" ]; then
+    tool="${loadgen}"
+    for flag in --requests --clients --runs --seeds --jobs --dispatchers \
+        --fleet; do
+        for value in "${bad_values[@]}"; do
+            expect_usage_error "${flag}" /dev/null --quick "${flag}" "${value}"
+        done
+    done
+    expect_usage_error --runs /dev/null --quick --runs 1
+    expect_usage_error --jobs /dev/null --quick --jobs 257
+    expect_usage_error --dispatchers /dev/null --quick --dispatchers 0
+    expect_usage_error --clients /dev/null --quick --clients 257
+    expect_usage_error --baseline /dev/null --quick --baseline old.json
+fi
 
 echo "${cases} cases, ${failures} failures"
 [ "${failures}" -eq 0 ]

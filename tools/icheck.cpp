@@ -30,7 +30,6 @@
  * detected, 2 usage or configuration error, 3 internal error.
  */
 
-#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -63,6 +62,7 @@
 #include "fleet/router.hpp"
 #include "service/daemon.hpp"
 #include "service/serve_loop.hpp"
+#include "support/cli_args.hpp"
 #include "support/exit_codes.hpp"
 #include "support/logging.hpp"
 
@@ -72,9 +72,6 @@ namespace
 {
 
 constexpr std::uint64_t kU64Max = std::numeric_limits<std::uint64_t>::max();
-
-/** Upper bound of every --jobs flag: each worker is a host thread. */
-constexpr int kMaxJobs = 256;
 
 int
 usage()
@@ -153,92 +150,6 @@ usage()
         "  3  internal error\n");
     return ExitUsage;
 }
-
-/** Tiny flag parser: --name value / --name. */
-class Args
-{
-  public:
-    Args(int argc, char **argv, int first)
-    {
-        for (int i = first; i < argc; ++i)
-            tokens.emplace_back(argv[i]);
-    }
-
-    bool
-    flag(const std::string &name)
-    {
-        for (auto it = tokens.begin(); it != tokens.end(); ++it) {
-            if (*it == name) {
-                tokens.erase(it);
-                return true;
-            }
-        }
-        return false;
-    }
-
-    std::optional<std::string>
-    value(const std::string &name)
-    {
-        for (auto it = tokens.begin(); it != tokens.end(); ++it) {
-            if (*it == name && std::next(it) != tokens.end()) {
-                const std::string v = *std::next(it);
-                tokens.erase(it, std::next(it, 2));
-                return v;
-            }
-        }
-        return std::nullopt;
-    }
-
-    /**
-     * Value of numeric flag @p name, or @p fallback when it is absent.
-     * The value must be plain decimal digits within [@p min, @p max];
-     * anything else (empty, signed, trailing garbage, out of range) is a
-     * usage error naming the flag and the value.
-     */
-    std::uint64_t
-    number(const std::string &name, std::uint64_t fallback,
-           std::uint64_t min, std::uint64_t max)
-    {
-        const auto v = value(name);
-        if (!v)
-            return fallback;
-        // from_chars on an unsigned type takes digits only: no sign, no
-        // whitespace, and overflow is reported rather than wrapped.
-        std::uint64_t n = 0;
-        const char *end = v->data() + v->size();
-        const auto [stop, ec] = std::from_chars(v->data(), end, n);
-        if (ec != std::errc{} || stop != end || n < min || n > max)
-            ICHECK_FATAL(name, " expects an integer in [", min, ", ", max,
-                         "], got '", *v, "'");
-        return n;
-    }
-
-    /** number() for flags stored in an int. */
-    int
-    count(const std::string &name, int fallback, int min,
-          int max = std::numeric_limits<int>::max())
-    {
-        return static_cast<int>(
-            number(name, static_cast<std::uint64_t>(fallback),
-                   static_cast<std::uint64_t>(min),
-                   static_cast<std::uint64_t>(max)));
-    }
-
-    /** True (after naming the first one on stderr) if any argument was
-     *  not consumed by the command. */
-    bool
-    leftovers() const
-    {
-        if (tokens.empty())
-            return false;
-        std::fprintf(stderr, "icheck: unexpected argument '%s'\n",
-                     tokens.front().c_str());
-        return true;
-    }
-
-  private:
-    std::vector<std::string> tokens;
-};
 
 int
 cmdList()
@@ -688,7 +599,7 @@ cmdServe(Args &args)
 {
     service::ServiceConfig cfg;
     cfg.jobs = args.count("--jobs", 0, 0, kMaxJobs);
-    cfg.dispatchers = args.count("--dispatchers", 2, 1, 64);
+    cfg.dispatchers = args.count("--dispatchers", 2, 1, kMaxDispatchers);
     cfg.queueDepth = args.number("--queue-depth", 64, 1, 65536);
     cfg.maxLineBytes =
         args.number("--max-line-bytes", 64 * 1024, 1, kU64Max);
@@ -787,21 +698,21 @@ dispatch(int argc, char **argv)
     if (command == "list")
         return cmdList();
     if (command == "verify") {
-        Args args(argc, argv, 2);
+        Args args(argc, argv, 2, "icheck");
         return cmdVerify(args);
     }
     if (command == "serve") {
-        Args args(argc, argv, 2);
+        Args args(argc, argv, 2, "icheck");
         return cmdServe(args);
     }
     if (command == "route") {
-        Args args(argc, argv, 2);
+        Args args(argc, argv, 2, "icheck");
         return cmdRoute(args);
     }
     if (argc < 3)
         return usage();
     const std::string app_name = argv[2];
-    Args args(argc, argv, 3);
+    Args args(argc, argv, 3, "icheck");
     if (command == "check")
         return cmdCheck(app_name, args);
     if (command == "characterize")

@@ -30,8 +30,7 @@ struct LintConfig
      * measurement that never feeds a hash or report payload).
      */
     std::vector<std::string> timingWhitelist = {
-        "bench/", "src/runtime/", "src/service/", "tools/loadgen/",
-        "tests/"};
+        "bench/", "src/runtime/", "src/service/", "tests/"};
 
     /** Path substrings where raw new/delete is arena business. */
     std::vector<std::string> arenaWhitelist = {"src/mem/"};
