@@ -57,8 +57,9 @@ struct WriteBufferEntry
     hashing::ValueClass cls = hashing::ValueClass::Integer;
 
     /**
-     * False when the store retired inside a stop_hashing window (Fig 4):
-     * it updates the cache but must not reach the MHM.
+     * False when the store retired inside a stop_hashing window (Fig 4)
+     * or while the MHM was not armed: it updates the cache but must not
+     * reach the MHM.
      */
     bool hashed = true;
 

@@ -25,6 +25,10 @@ executeCampaignRun(const DriverConfig &cfg, const ProgramFactory &factory,
     sim::MachineConfig mc = cfg.machine;
     mc.schedSeed =
         cfg.baseSchedSeed + static_cast<std::uint64_t>(run_index);
+    // Only HW-Inc reads the TH registers; the software schemes hash in
+    // their own listeners or traversals, so the MHM stays disarmed for
+    // them (what a stock machine without the hardware would do).
+    mc.hashingArmed = cfg.machine.hashingArmed && cfg.scheme == Scheme::HwInc;
 
     sim::Machine machine(mc, &replay_log, mode);
 

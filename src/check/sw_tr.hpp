@@ -37,6 +37,8 @@ class SwInstantCheckTr : public Checker, public sim::AccessListener
     void attach(sim::Machine &machine) override;
     void onRunStart() override;
 
+    /** Allocation-table upkeep; subscribed under the non-ideal model
+     *  only. */
     void onAlloc(const mem::Block &block) override;
     void onFree(const mem::Block &block) override;
 

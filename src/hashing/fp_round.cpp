@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <iterator>
 
 #include "support/logging.hpp"
 
@@ -11,13 +12,32 @@ namespace icheck::hashing
 namespace
 {
 
+/**
+ * 10^0 through 10^22: every power of ten that a double holds exactly, so
+ * each entry equals std::pow(10.0, n) bit for bit.
+ */
+constexpr double exactPowersOf10[] = {
+    1e0,  1e1,  1e2,  1e3,  1e4,  1e5,  1e6,  1e7,  1e8,  1e9,  1e10, 1e11,
+    1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+};
+
+/** 10^@p digits: a table load in the exact range, libm outside it. */
+double
+decimalScale(int digits)
+{
+    if (digits >= 0 &&
+        digits < static_cast<int>(std::size(exactPowersOf10)))
+        return exactPowersOf10[digits];
+    return std::pow(10.0, digits);
+}
+
 /** Floor @p value to @p digits decimal digits, stable around zero. */
 double
 floorToDigits(double value, int digits)
 {
     if (!std::isfinite(value))
         return value;
-    double scale = std::pow(10.0, digits);
+    const double scale = decimalScale(digits);
     double scaled = value * scale;
     // Guard against overflow of the scaled value: leave huge magnitudes
     // untouched, their absolute differences dwarf the rounding grain anyway.

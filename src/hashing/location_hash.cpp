@@ -1,5 +1,7 @@
 #include "hashing/location_hash.hpp"
 
+#include <algorithm>
+
 #include "hashing/crc64.hpp"
 #include "support/logging.hpp"
 
@@ -13,7 +15,8 @@ namespace
  * CRC of the seven high address bytes of a 9-byte (address, value) record.
  * crcOfAddr(a) == T7[a & 0xff] ^ addrSuffixCrc(a >> 8); the suffix is
  * constant across a run of addresses that share everything above the low
- * byte, which is what lets hashSpan hoist it out of its inner loop.
+ * byte, which is what lets the span kernels hoist it out of their inner
+ * loops.
  */
 inline std::uint64_t
 addrSuffixCrc(std::uint64_t hi)
@@ -23,6 +26,25 @@ addrSuffixCrc(std::uint64_t hi)
            t[4][(hi >> 16) & 0xff] ^ t[3][(hi >> 24) & 0xff] ^
            t[2][(hi >> 32) & 0xff] ^ t[1][(hi >> 40) & 0xff] ^
            t[0][(hi >> 48) & 0xff];
+}
+
+/**
+ * Split [addr, addr + len) into runs of addresses that share every byte
+ * above the low one and call fn(offset, low, run, suffix) per run: it
+ * starts @c offset bytes in, at low address byte @c low, spans @c run
+ * bytes, and @c suffix is its addrSuffixCrc (one per run).
+ */
+template <typename Fn>
+inline void
+forEachSuffixRun(Addr addr, std::size_t len, Fn &&fn)
+{
+    for (std::size_t i = 0; i < len;) {
+        const Addr base = addr + i;
+        const std::size_t low = base & 0xff;
+        const std::size_t run = std::min<std::size_t>(0x100 - low, len - i);
+        fn(i, low, run, addrSuffixCrc(base >> 8));
+        i += run;
+    }
 }
 
 /** SplitMix64-style finalizer over the packed (address, value) word. */
@@ -51,6 +73,13 @@ LocationHasher::hashSpan(Addr addr, const std::uint8_t *bytes,
 }
 
 ModHash
+LocationHasher::hashDelta(Addr addr, const std::uint8_t *before,
+                          const std::uint8_t *after, std::size_t len) const
+{
+    return hashSpan(addr, after, len) - hashSpan(addr, before, len);
+}
+
+ModHash
 Crc64LocationHasher::hashByte(Addr addr, std::uint8_t value) const
 {
     if (value == 0)
@@ -68,27 +97,39 @@ Crc64LocationHasher::hashSpan(Addr addr, const std::uint8_t *bytes,
 {
     const auto &t = detail::crc64Tables.t;
     ModHash sum;
-    std::size_t i = 0;
-    while (i < len) {
-        // All addresses in [base, base + chunk) share the bytes above the
-        // low one, so the CRC of those seven record bytes is loop
-        // invariant.
-        const Addr base = addr + i;
-        const std::uint64_t suffix = addrSuffixCrc(base >> 8);
-        const std::size_t low = base & 0xff;
-        std::size_t chunk = 0x100 - low;
-        if (chunk > len - i)
-            chunk = len - i;
-        for (std::size_t k = 0; k < chunk; ++k) {
+    forEachSuffixRun(addr, len, [&](std::size_t i, std::size_t low,
+                                    std::size_t run, std::uint64_t suffix) {
+        for (std::size_t k = 0; k < run; ++k) {
             const std::uint8_t value = bytes[i + k];
-            if (value == 0)
+            if (value != 0)
+                sum += ModHash(Crc64::feed(t[7][low + k] ^ suffix, value));
+        }
+    });
+    return sum;
+}
+
+ModHash
+Crc64LocationHasher::hashDelta(Addr addr, const std::uint8_t *before,
+                               const std::uint8_t *after,
+                               std::size_t len) const
+{
+    const auto &t = detail::crc64Tables.t;
+    ModHash sum;
+    forEachSuffixRun(addr, len, [&](std::size_t i, std::size_t low,
+                                    std::size_t run, std::uint64_t suffix) {
+        for (std::size_t k = 0; k < run; ++k) {
+            const std::uint8_t old_value = before[i + k];
+            const std::uint8_t new_value = after[i + k];
+            // An unchanged byte's two terms cancel in the group.
+            if (old_value == new_value)
                 continue;
             const std::uint64_t addr_crc = t[7][low + k] ^ suffix;
-            sum += ModHash((addr_crc << 8) ^
-                           t[0][((addr_crc >> 56) ^ value) & 0xff]);
+            if (new_value != 0)
+                sum += ModHash(Crc64::feed(addr_crc, new_value));
+            if (old_value != 0)
+                sum -= ModHash(Crc64::feed(addr_crc, old_value));
         }
-        i += chunk;
-    }
+    });
     return sum;
 }
 

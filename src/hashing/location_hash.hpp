@@ -57,6 +57,17 @@ class LocationHasher
     virtual ModHash hashSpan(Addr addr, const std::uint8_t *bytes,
                              std::size_t len) const;
 
+    /**
+     * Fused store delta: hashSpan(addr, after, len) minus
+     * hashSpan(addr, before, len), in one call. Bytes equal in @p before
+     * and @p after cancel in the group, so overrides may skip them; they
+     * must stay bit-identical to the two-span difference
+     * (tests/hashing/test_equivalence.cpp).
+     */
+    virtual ModHash hashDelta(Addr addr, const std::uint8_t *before,
+                              const std::uint8_t *after,
+                              std::size_t len) const;
+
     /** Human-readable implementation name. */
     virtual std::string name() const = 0;
 };
@@ -71,6 +82,9 @@ class Crc64LocationHasher : public LocationHasher
     ModHash hashByte(Addr addr, std::uint8_t value) const override;
     ModHash hashSpan(Addr addr, const std::uint8_t *bytes,
                      std::size_t len) const override;
+    ModHash hashDelta(Addr addr, const std::uint8_t *before,
+                      const std::uint8_t *after,
+                      std::size_t len) const override;
     std::string name() const override { return "crc64"; }
 };
 

@@ -80,17 +80,20 @@ class StateHasher
 
     /**
      * Incremental delta contributed by a store: the group element
-     * ominus h(addr, old) oplus h(addr, new), per byte.
+     * ominus h(addr, old) oplus h(addr, new), per byte. One fused pass
+     * (LocationHasher::hashDelta) equal to
+     * valueHash(new) - valueHash(old); the identity when the rounded
+     * values are equal.
      */
-    ModHash
-    storeDelta(Addr addr, std::uint64_t oldBits, std::uint64_t newBits,
-               unsigned width, ValueClass cls) const
-    {
-        return valueHash(addr, newBits, width, cls)
-             - valueHash(addr, oldBits, width, cls);
-    }
+    ModHash storeDelta(Addr addr, std::uint64_t oldBits,
+                       std::uint64_t newBits, unsigned width,
+                       ValueClass cls) const;
 
   private:
+    /** @p rawBits through the round-off unit if @p cls is FP. */
+    std::uint64_t hashedBits(std::uint64_t rawBits, unsigned width,
+                             ValueClass cls) const;
+
     const LocationHasher &locHasher;
     FpRoundMode roundMode;
 };

@@ -39,6 +39,7 @@ TypeDescriptor::scalar(ScalarKind kind, std::size_t pad_bytes)
     auto desc = std::shared_ptr<TypeDescriptor>(new TypeDescriptor);
     desc->shape = Shape::Scalar;
     desc->kind = kind;
+    desc->anyFp = kind == ScalarKind::Float || kind == ScalarKind::Double;
     desc->byteSize = kind == ScalarKind::Pad ? pad_bytes : scalarWidth(kind);
     ICHECK_ASSERT(desc->byteSize > 0, "empty scalar");
     return desc;
@@ -52,6 +53,7 @@ TypeDescriptor::array(std::shared_ptr<const TypeDescriptor> elem,
     auto desc = std::shared_ptr<TypeDescriptor>(new TypeDescriptor);
     desc->shape = Shape::Array;
     desc->element = std::move(elem);
+    desc->anyFp = desc->element->hasFp();
     desc->count = count;
     desc->byteSize = desc->element->size() * count;
     return desc;
@@ -68,6 +70,7 @@ TypeDescriptor::record(
     for (const auto &field : desc->fields) {
         ICHECK_ASSERT(field != nullptr, "null struct field");
         desc->byteSize += field->size();
+        desc->anyFp = desc->anyFp || field->hasFp();
     }
     return desc;
 }

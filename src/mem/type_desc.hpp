@@ -77,6 +77,21 @@ class TypeDescriptor
         const std::function<void(std::size_t offset, ScalarKind kind,
                                  unsigned width)> &visit) const;
 
+    /** Whether any leaf is a Float or Double (fixed at construction). */
+    bool hasFp() const { return anyFp; }
+
+    /**
+     * Visit every Float/Double leaf as (offset, kind) in layout order,
+     * skipping subtrees without one: what traversal hashing needs to
+     * round a region's FP bytes in place and hash the rest raw.
+     */
+    template <typename Visit>
+    void
+    forEachFpScalar(Visit &&visit) const
+    {
+        forEachFpScalarAt(0, visit);
+    }
+
     /** Short human-readable rendering ("f64[128]" etc.), for reports. */
     std::string describe() const;
 
@@ -90,8 +105,36 @@ class TypeDescriptor
         const std::function<void(std::size_t, ScalarKind, unsigned)> &visit)
         const;
 
+    template <typename Visit>
+    void
+    forEachFpScalarAt(std::size_t base, Visit &visit) const
+    {
+        if (!anyFp)
+            return;
+        switch (shape) {
+          case Shape::Scalar:
+            visit(base, kind);
+            return;
+          case Shape::Array: {
+            const std::size_t elem_size = element->size();
+            for (std::size_t i = 0; i < count; ++i)
+                element->forEachFpScalarAt(base + i * elem_size, visit);
+            return;
+          }
+          case Shape::Struct: {
+            std::size_t offset = base;
+            for (const auto &field : fields) {
+                field->forEachFpScalarAt(offset, visit);
+                offset += field->size();
+            }
+            return;
+          }
+        }
+    }
+
     Shape shape = Shape::Scalar;
     ScalarKind kind = ScalarKind::Int8;
+    bool anyFp = false;
     std::size_t byteSize = 1;
     std::size_t count = 0;
     std::shared_ptr<const TypeDescriptor> element;

@@ -53,9 +53,15 @@ hashing::ModHash
 Mhm::hashValue(Addr addr, std::uint64_t bits, unsigned width,
                hashing::ValueClass cls) const
 {
-    const hashing::StateHasher &pipeline =
-        fpRoundingOn ? roundedPipeline : rawPipeline;
-    return pipeline.valueHash(addr, bits, width, cls);
+    return pipeline().valueHash(addr, bits, width, cls);
+}
+
+void
+Mhm::accumulateStore(Addr vaddr, std::uint64_t old_bits,
+                     std::uint64_t new_bits, unsigned width,
+                     hashing::ValueClass cls)
+{
+    accumulate(pipeline().storeDelta(vaddr, old_bits, new_bits, width, cls));
 }
 
 void
@@ -65,10 +71,7 @@ Mhm::observeStore(Addr vaddr, std::uint64_t old_bits,
 {
     if (!hashingOn)
         return;
-    // The two halves are independent group elements; feed them separately
-    // so a clustered design can route them to different clusters (Fig 3b).
-    accumulate(-hashValue(vaddr, old_bits, width, cls));
-    accumulate(hashValue(vaddr, new_bits, width, cls));
+    accumulateStore(vaddr, old_bits, new_bits, width, cls);
     ++nStores;
     nBytes += 2ULL * width;
 }
@@ -128,6 +131,17 @@ ClusteredMhm::accumulate(hashing::ModHash delta)
     }
     partials[idx] += delta;
     ++opCounts[idx];
+}
+
+void
+ClusteredMhm::accumulateStore(Addr vaddr, std::uint64_t old_bits,
+                              std::uint64_t new_bits, unsigned width,
+                              hashing::ValueClass cls)
+{
+    // The two halves are independent group elements; feed them separately
+    // so they can land in different clusters (Fig 3b).
+    accumulate(-hashValue(vaddr, old_bits, width, cls));
+    accumulate(hashValue(vaddr, new_bits, width, cls));
 }
 
 void

@@ -168,6 +168,15 @@ class Mhm
     /** Accumulate one group element into the module's partial state. */
     virtual void accumulate(hashing::ModHash delta) = 0;
 
+    /**
+     * Accumulate one drained store: by default one fused delta
+     * (StateHasher::storeDelta); a design that routes the two halves
+     * separately overrides it.
+     */
+    virtual void accumulateStore(Addr vaddr, std::uint64_t old_bits,
+                                 std::uint64_t new_bits, unsigned width,
+                                 hashing::ValueClass cls);
+
     /** Clear the module's partial state to the identity. */
     virtual void clearState() = 0;
 
@@ -180,7 +189,14 @@ class Mhm
                                hashing::ValueClass cls) const;
 
   private:
-    /** Pre-built pipelines for both round-off states: hashValue picks one
+    /** The pipeline for the current round-off state. */
+    const hashing::StateHasher &
+    pipeline() const
+    {
+        return fpRoundingOn ? roundedPipeline : rawPipeline;
+    }
+
+    /** Pre-built pipelines for both round-off states: pipeline() picks one
      *  instead of constructing a StateHasher per drained store. */
     hashing::StateHasher roundedPipeline;
     hashing::StateHasher rawPipeline;
@@ -245,6 +261,12 @@ class ClusteredMhm : public Mhm
 
   protected:
     void accumulate(hashing::ModHash delta) override;
+
+    /** The two halves go to clusters separately (their op counts are
+     *  part of the model's observable load balance). */
+    void accumulateStore(Addr vaddr, std::uint64_t old_bits,
+                         std::uint64_t new_bits, unsigned width,
+                         hashing::ValueClass cls) override;
     void clearState() override;
     void loadState(hashing::ModHash value) override;
     void savePartials(MhmState &out) const override;

@@ -42,7 +42,9 @@ struct StoreEvent
     /**
      * False when the store happened inside a stop_hashing window
      * (Section 3.3): software incremental checkers must skip it, exactly
-     * as the MHM does.
+     * as the MHM does. This is the thread's gate only; it does not
+     * depend on MachineConfig::hashingArmed, so SW-Inc hashes the same
+     * stores whether or not the MHM runs beside it.
      */
     bool hashed = false;
 };

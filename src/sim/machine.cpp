@@ -570,13 +570,16 @@ Machine::storeAccess(Addr addr, unsigned width, std::uint64_t bits,
 {
     Core &core = curCoreRef();
     SimThread &thread = cur();
-    const bool hashed = cfg.hashingArmed && !thread.hashingPaused;
+    // The thread's stop_hashing gate, which software schemes read from
+    // the event; the MHM also needs the hardware armed.
+    const bool hashed = !thread.hashingPaused;
+    const bool mhm_hashed = cfg.hashingArmed && hashed;
     // The old value is consumed only by the MHM and by listeners. When
-    // the hash gate is closed and nobody listens, skip the read entirely
+    // the MHM gate is closed and nobody listens, skip the read entirely
     // — safe because write buffers are drained before the gate ever
-    // flips, so no hashed=true entry can be in flight while hashed is
-    // false here.
-    const bool observed = hashed || !listeners.empty();
+    // flips, so no hashed=true entry can be in flight while mhm_hashed
+    // is false here.
+    const bool observed = mhm_hashed || !listeners.empty();
     const std::uint64_t old_bits =
         observed ? mem.readValue(addr, width) : 0;
     mem.writeValue(addr, width, bits);
@@ -590,7 +593,7 @@ Machine::storeAccess(Addr addr, unsigned width, std::uint64_t bits,
         entry.oldBits = old_bits;
         entry.newBits = bits;
         entry.cls = cls;
-        entry.hashed = hashed;
+        entry.hashed = mhm_hashed;
         core.wb.push(entry,
                      [this, &core](const cache::WriteBufferEntry &e) {
                          drainEntry(core, e);

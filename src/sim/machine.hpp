@@ -70,7 +70,10 @@ struct MachineConfig
      * Whether the MHM hardware is armed at all this run. False models a
      * stock machine with the hashing hardware fused off: TH registers
      * stay zero and drained stores skip the MHM entirely — the native
-     * baseline of the overhead benchmarks.
+     * baseline of the overhead benchmarks. A campaign arms it only when
+     * its scheme reads TH (HW-Inc; see check::executeCampaignRun), so
+     * software-scheme runs report storesHashed = 0. Listeners still see
+     * each store's stop_hashing gate in StoreEvent::hashed.
      */
     bool hashingArmed = true;
 };
@@ -86,6 +89,7 @@ struct RunResult
     InstCount overheadInstrs = 0;
     std::uint64_t cacheHits = 0;
     std::uint64_t cacheMisses = 0;
+    /** Stores the MHMs hashed; 0 when the MHM was not armed. */
     std::uint64_t storesHashed = 0;
 };
 

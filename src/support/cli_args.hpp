@@ -7,7 +7,8 @@
  * are `--name value` or bare `--name`, consumed in any order, and every
  * numeric value is range-checked, so a malformed value is a usage error
  * naming the flag (exit 2) rather than a run with a value nobody asked
- * for.
+ * for. `icheck-lint` keeps its own flag loop but parses its numeric
+ * flag through the same parseNumber().
  */
 
 #include <charconv>
@@ -31,6 +32,26 @@ inline constexpr int kMaxJobs = 256;
 
 /** Upper bound of serve's --dispatchers (campaigns in flight). */
 inline constexpr int kMaxDispatchers = 64;
+
+/**
+ * @p text as the value of numeric flag @p name. It must be plain decimal
+ * digits within [@p min, @p max]; anything else (empty, signed, trailing
+ * garbage, out of range) is a usage error naming the flag and the value.
+ */
+inline std::uint64_t
+parseNumber(const std::string &name, const std::string &text,
+            std::uint64_t min, std::uint64_t max)
+{
+    // from_chars on an unsigned type takes digits only: no sign, no
+    // whitespace, and overflow is reported rather than wrapped.
+    std::uint64_t n = 0;
+    const char *end = text.data() + text.size();
+    const auto [stop, ec] = std::from_chars(text.data(), end, n);
+    if (ec != std::errc{} || stop != end || n < min || n > max)
+        ICHECK_FATAL(name, " expects an integer in [", min, ", ", max,
+                     "], got '", text, "'");
+    return n;
+}
 
 /** Tiny flag parser: --name value / --name. */
 class Args
@@ -70,27 +91,15 @@ class Args
     }
 
     /**
-     * Value of numeric flag @p name, or @p fallback when it is absent.
-     * The value must be plain decimal digits within [@p min, @p max];
-     * anything else (empty, signed, trailing garbage, out of range) is a
-     * usage error naming the flag and the value.
+     * Value of numeric flag @p name, or @p fallback when it is absent;
+     * a present value is held to parseNumber()'s rule.
      */
     std::uint64_t
     number(const std::string &name, std::uint64_t fallback,
            std::uint64_t min, std::uint64_t max)
     {
         const auto v = value(name);
-        if (!v)
-            return fallback;
-        // from_chars on an unsigned type takes digits only: no sign, no
-        // whitespace, and overflow is reported rather than wrapped.
-        std::uint64_t n = 0;
-        const char *end = v->data() + v->size();
-        const auto [stop, ec] = std::from_chars(v->data(), end, n);
-        if (ec != std::errc{} || stop != end || n < min || n > max)
-            ICHECK_FATAL(name, " expects an integer in [", min, ", ", max,
-                         "], got '", *v, "'");
-        return n;
+        return v ? parseNumber(name, *v, min, max) : fallback;
     }
 
     /** number() for flags stored in an int. */

@@ -1,16 +1,18 @@
 #!/usr/bin/env bash
-# Every numeric flag of every icheck subcommand, and of loadgen when it is
-# given, must reject a malformed or out-of-range value with exit 2 (usage
-# error) and an error on stderr that names the flag; so must the removed
-# icheck event-transport flag and loadgen's removed --baseline. No value
-# here is valid, so no command gets as far as running a campaign or a
-# daemon.
+# Every numeric flag of every icheck subcommand, and of loadgen and
+# icheck-lint when they are given, must reject a malformed or out-of-range
+# value with exit 2 (usage error) and an error on stderr that names the
+# flag; so must the removed icheck event-transport flag and loadgen's
+# removed --baseline, and a race log whose "line" field is not a line
+# number. No value here is valid, so no command gets as far as running a
+# campaign, a daemon or a lint pass.
 #
-#   numeric_flags.sh path/to/icheck [path/to/loadgen]
+#   numeric_flags.sh path/to/icheck [path/to/loadgen [path/to/icheck-lint]]
 set -u
 
 icheck="$1"
 loadgen="${2:-}"
+lint="${3:-}"
 tool="${icheck}"
 failures=0
 cases=0
@@ -90,6 +92,28 @@ if [ -n "${loadgen}" ]; then
     expect_usage_error --dispatchers /dev/null --quick --dispatchers 0
     expect_usage_error --clients /dev/null --quick --clients 257
     expect_usage_error --baseline /dev/null --quick --baseline old.json
+fi
+
+# icheck-lint parses --jobs by the same rule (0..256) and the race log's
+# line numbers strictly. It is always given one file, never a directory:
+# one file is scanned without a pool, so a build that took an unchecked
+# --jobs value would still start no worker threads.
+if [ -n "${lint}" ]; then
+    tool="${lint}"
+    scratch="$(mktemp -d)"
+    trap 'rm -rf "${scratch}"' EXIT
+    source_file="${scratch}/one.cpp"
+    echo "int one() { return 1; }" >"${source_file}"
+    for value in "${bad_values[@]}" 257; do
+        expect_usage_error --jobs --jobs "${value}" "${source_file}"
+    done
+    for value in abc 4x -3 99999999999999999999999 '"7"'; do
+        log="${scratch}/race.jsonl"
+        printf '{"app":"a","kind":"write-write","symbol":"s",%s%s}\n' \
+            "\"first\":{\"tid\":0,\"file\":\"one.cpp\",\"line\":${value}}," \
+            '"second":{"tid":1,"file":"one.cpp","line":1}' >"${log}"
+        expect_usage_error '"line"' --race-log "${log}" "${source_file}"
+    done
 fi
 
 echo "${cases} cases, ${failures} failures"

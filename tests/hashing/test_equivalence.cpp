@@ -2,25 +2,32 @@
  * @file
  * Equivalence proofs for every hot-path hashing shortcut.
  *
- * The optimized pipeline takes three liberties with the naive definitions:
- * slicing-by-8 CRC instead of the byte-at-a-time recurrence, a hoisted
- * address-prefix CRC inside Crc64LocationHasher::hashSpan, and one batched
- * hashSpan call per store instead of a per-byte virtual hashByte fold.
- * Every checkpoint hash in the repo flows through these shortcuts, so this
- * suite pins them against independent naive references (kept alive here,
- * not in the library) plus golden vectors frozen from the canonical
- * definition — any silent change to the hash function fails loudly.
+ * The optimized pipeline takes these liberties with the naive
+ * definitions: slicing-by-8 CRC instead of the byte-at-a-time recurrence,
+ * a hoisted address-prefix CRC inside Crc64LocationHasher::hashSpan, one
+ * batched hashSpan call per store instead of a per-byte virtual hashByte
+ * fold, one fused hashDelta pass per store instead of two value hashes,
+ * a fused store delta in the basic MHM, and one span call per window of
+ * a typed region instead of one value hash per scalar. Every checkpoint
+ * hash in the repo flows through these shortcuts, so this suite pins them
+ * against independent naive references (kept alive here, not in the
+ * library) plus golden vectors frozen from the canonical definition — any
+ * silent change to the hash function fails loudly.
  */
 
+#include <cmath>
 #include <cstring>
 #include <gtest/gtest.h>
 #include <vector>
 
+#include "check/region.hpp"
 #include "hashing/crc64.hpp"
 #include "hashing/location_hash.hpp"
 #include "hashing/state_hash.hpp"
 #include "hashing/truncated_hash.hpp"
 #include "mem/memory.hpp"
+#include "mem/type_desc.hpp"
+#include "mhm/mhm.hpp"
 #include "support/rng.hpp"
 
 namespace icheck::hashing
@@ -263,6 +270,335 @@ TEST(ValueHashEquivalence, AllWidthsAndClassesMatchByteFold)
                       referenceFold(locHasher, addr, bytes, fp.width));
         }
     }
+}
+
+/** A copy of @p bytes with about half its bytes changed, some to zero
+ *  and some from zero. */
+std::vector<std::uint8_t>
+mutated(const std::vector<std::uint8_t> &bytes, std::uint64_t seed)
+{
+    SplitMix64 gen(seed);
+    std::vector<std::uint8_t> out = bytes;
+    for (auto &byte : out) {
+        const std::uint64_t word = gen.next();
+        if (word % 2 == 0)
+            continue; // unchanged: must cancel
+        byte = word % 3 == 0 ? 0 : static_cast<std::uint8_t>(word >> 40);
+    }
+    return out;
+}
+
+/** Exercise one hasher's hashDelta against the two-fold difference. */
+void
+checkDeltas(const LocationHasher &hasher)
+{
+    const auto reference = [&hasher](Addr addr,
+                                     const std::vector<std::uint8_t> &before,
+                                     const std::vector<std::uint8_t> &after) {
+        return referenceFold(hasher, addr, after.data(), after.size()) -
+               referenceFold(hasher, addr, before.data(), before.size());
+    };
+    // Every store width at every alignment.
+    for (Addr base : {Addr{0}, mem::staticBase, mem::heapBase}) {
+        for (unsigned align = 0; align < 8; ++align) {
+            for (std::size_t len = 1; len <= 8; ++len) {
+                const Addr addr = base + 0x100 - 4 + align;
+                const auto before = patternBytes(len, addr + len);
+                const auto after = mutated(before, addr * 3 + len);
+                EXPECT_EQ(hasher.hashDelta(addr, before.data(),
+                                           after.data(), len),
+                          reference(addr, before, after))
+                    << hasher.name() << " addr " << addr << " len " << len;
+                // Equal spans cancel to the identity.
+                EXPECT_EQ(hasher.hashDelta(addr, before.data(),
+                                           before.data(), len),
+                          ModHash{});
+            }
+        }
+    }
+    // Spans that cross the 0x100 suffix boundary (one or two of them)
+    // and a page boundary, at many offsets.
+    for (const Addr boundary :
+         {mem::heapBase + 0x200, mem::scratchBase + mem::pageSize}) {
+        for (std::size_t len : {std::size_t{9}, std::size_t{64},
+                                std::size_t{300}, std::size_t{600}}) {
+            for (std::size_t before_len = 1; before_len < len;
+                 before_len += 7) {
+                const Addr addr = boundary - before_len;
+                const auto before = patternBytes(len, addr);
+                const auto after = mutated(before, addr + len);
+                EXPECT_EQ(hasher.hashDelta(addr, before.data(),
+                                           after.data(), len),
+                          reference(addr, before, after))
+                    << hasher.name() << " addr " << addr << " len " << len;
+            }
+        }
+    }
+    // All-zero to all-zero, zero to nonzero, nonzero to zero.
+    const std::vector<std::uint8_t> zeros(300, 0);
+    const auto filled = patternBytes(300, 0x2e40);
+    const Addr addr = mem::heapBase + 0x100 - 9;
+    EXPECT_EQ(hasher.hashDelta(addr, zeros.data(), zeros.data(), 300),
+              ModHash{});
+    EXPECT_EQ(hasher.hashDelta(addr, zeros.data(), filled.data(), 300),
+              reference(addr, zeros, filled));
+    EXPECT_EQ(hasher.hashDelta(addr, filled.data(), zeros.data(), 300),
+              reference(addr, filled, zeros));
+}
+
+TEST(DeltaEquivalence, Crc64HashDeltaMatchesFoldDifference)
+{
+    checkDeltas(Crc64LocationHasher{});
+}
+
+TEST(DeltaEquivalence, Mix64HashDeltaMatchesFoldDifference)
+{
+    checkDeltas(Mix64LocationHasher{});
+}
+
+TEST(DeltaEquivalence, TruncatedHashDeltaMatchesFoldDifference)
+{
+    checkDeltas(TruncatedLocationHasher(
+        std::make_unique<Crc64LocationHasher>(), 16));
+}
+
+/** Every rounding mode the store-delta test runs under. */
+std::vector<FpRoundMode>
+storeDeltaModes()
+{
+    std::vector<FpRoundMode> modes = {FpRoundMode::none(),
+                                      FpRoundMode::mask(12),
+                                      FpRoundMode::mask(40)};
+    for (int digits = -1; digits <= 23; ++digits)
+        modes.push_back(FpRoundMode::floorDigits(digits));
+    return modes;
+}
+
+/** Raw bits of @p value as a @p cls store carries them. */
+std::uint64_t
+fpBits(double value, ValueClass cls)
+{
+    if (cls == ValueClass::Float) {
+        const float narrow = static_cast<float>(value);
+        std::uint32_t bits;
+        std::memcpy(&bits, &narrow, sizeof(bits));
+        return bits;
+    }
+    std::uint64_t bits;
+    std::memcpy(&bits, &value, sizeof(bits));
+    return bits;
+}
+
+TEST(StoreDeltaEquivalence, FusedDeltaMatchesTwoValueHashes)
+{
+    const Crc64LocationHasher locHasher;
+    SplitMix64 gen(0xde17a);
+    for (const FpRoundMode &mode : storeDeltaModes()) {
+        const StateHasher pipeline(locHasher, mode);
+        const auto check = [&](Addr addr, std::uint64_t old_bits,
+                               std::uint64_t new_bits, unsigned width,
+                               ValueClass cls) {
+            EXPECT_EQ(pipeline.storeDelta(addr, old_bits, new_bits, width,
+                                          cls),
+                      pipeline.valueHash(addr, new_bits, width, cls) -
+                          pipeline.valueHash(addr, old_bits, width, cls))
+                << "digits " << mode.decimalDigits << " kind "
+                << static_cast<int>(mode.kind) << " width " << width
+                << " old " << old_bits << " new " << new_bits;
+        };
+        // Integer stores of every width, including equal and zero values
+        // and stores that straddle the 0x100 suffix boundary.
+        for (unsigned width = 1; width <= 8; ++width) {
+            const std::uint64_t mask =
+                width == 8 ? ~0ULL : (1ULL << (8 * width)) - 1;
+            const Addr addr = mem::heapBase + 0x100 - width / 2;
+            for (int round = 0; round < 16; ++round) {
+                const std::uint64_t a = gen.next() & mask;
+                const std::uint64_t b =
+                    round % 4 == 0 ? a : (a ^ (gen.next() & mask));
+                check(addr, a, b, width, ValueClass::Integer);
+                check(addr, 0, b, width, ValueClass::Integer);
+                check(addr, a, 0, width, ValueClass::Integer);
+            }
+        }
+        // FP stores: noise below the rounding grain, changes above it,
+        // signed zeros, and non-finite values.
+        const double specials[] = {0.0,      -0.0,    1.2341, 1.2342,
+                                   -1.2341,  1e-310,  1e300,  -7.5e20,
+                                   INFINITY, -INFINITY, NAN};
+        for (const ValueClass cls : {ValueClass::Float, ValueClass::Double}) {
+            const unsigned width = cls == ValueClass::Float ? 4 : 8;
+            const Addr addr = mem::staticBase + 0x100 - 3;
+            for (const double a : specials) {
+                for (const double b : specials)
+                    check(addr, fpBits(a, cls), fpBits(b, cls), width, cls);
+            }
+            for (int round = 0; round < 64; ++round) {
+                const double scale =
+                    std::ldexp(1.0, static_cast<int>(gen.next() % 80) - 40);
+                const double a =
+                    (static_cast<double>(gen.next() >> 11) * 0x1.0p-53 -
+                     0.5) * scale;
+                const double noise = a * 1e-12 * (round % 3);
+                check(addr, fpBits(a, cls), fpBits(a + noise, cls), width,
+                      cls);
+                check(addr, fpBits(a, cls), gen.next() & (width == 8
+                                                   ? ~0ULL
+                                                   : 0xffffffffULL),
+                      width, cls);
+            }
+        }
+    }
+}
+
+/** The per-scalar typed-region walk: one value hash per scalar, Pad
+ *  leaves hashed raw. The batched hashTypedRegion must match it. */
+ModHash
+referenceTypedRegion(const StateHasher &hasher,
+                     const mem::SparseMemory &image, Addr addr,
+                     const mem::TypeRef &type)
+{
+    ModHash sum;
+    type->forEachScalar([&](std::size_t offset, mem::ScalarKind kind,
+                            unsigned width) {
+        const Addr at = addr + offset;
+        if (kind == mem::ScalarKind::Pad) {
+            std::vector<std::uint8_t> bytes(width);
+            image.readBytes(at, bytes.data(), width);
+            sum += hasher.spanHash(at, bytes.data(), width);
+            return;
+        }
+        sum += hasher.valueHash(at, image.readValue(at, width), width,
+                                mem::scalarClass(kind));
+    });
+    return sum;
+}
+
+/** Random bytes at [addr, addr + len), with doubles and floats that
+ *  round non-trivially at every FP leaf of @p type. */
+void
+fillRegion(mem::SparseMemory &image, Addr addr, const mem::TypeRef &type,
+           std::uint64_t seed)
+{
+    SplitMix64 gen(seed);
+    std::vector<std::uint8_t> bytes(type->size());
+    for (auto &byte : bytes) {
+        const std::uint64_t word = gen.next();
+        byte = word % 4 == 0 ? 0 : static_cast<std::uint8_t>(word >> 32);
+    }
+    image.writeBytes(addr, bytes.data(), bytes.size());
+    type->forEachFpScalar([&](std::size_t offset, mem::ScalarKind kind) {
+        const double value =
+            (static_cast<double>(gen.next() >> 11) * 0x1.0p-53 - 0.5) *
+            std::ldexp(1.0, static_cast<int>(gen.next() % 40) - 10);
+        const ValueClass cls = mem::scalarClass(kind);
+        image.writeValue(addr + offset, cls == ValueClass::Float ? 4 : 8,
+                         fpBits(value, cls));
+    });
+}
+
+TEST(RegionEquivalence, BatchedTypedRegionMatchesPerScalarWalk)
+{
+    using namespace mem;
+    const TypeRef particle = tStruct({tDouble(), tInt32(), tFloat(),
+                                      tPad(3), tPointer(), tInt8(),
+                                      tArray(tDouble(), 3), tInt16()});
+    const TypeRef types[] = {
+        tDouble(),
+        tArray(tDouble(), 700), // several windows of doubles
+        tArray(tFloat(), 301),
+        tArray(tInt64(), 400),  // integer-only: raw path
+        tArray(particle, 97),
+        // Leaves that straddle a window end (the window starts at a
+        // leaf, and 1024 is not a multiple of these strides).
+        tArray(tStruct({tPad(3), tDouble()}), 300),
+        tArray(tStruct({tInt16(), tFloat(), tPad(1)}), 500),
+        tStruct({tPad(2000), tFloat(), tArray(tInt32(), 700),
+                 tArray(tStruct({tPad(5), tDouble()}), 250), tPad(1)}),
+        tStruct({tArray(tStruct({tInt8(), tArray(tFloat(), 2)}), 3),
+                 tBytes(13)}),
+    };
+    const Crc64LocationHasher locHasher;
+    const FpRoundMode modes[] = {FpRoundMode::paperDefault(),
+                                 FpRoundMode::none(), FpRoundMode::mask(30),
+                                 FpRoundMode::floorDigits(0),
+                                 FpRoundMode::floorDigits(9)};
+    // Bases at, just before and across page boundaries; the last region
+    // runs into unmapped (zero) memory.
+    const Addr bases[] = {mem::heapBase, mem::heapBase + mem::pageSize - 5,
+                          mem::staticBase + 3 * mem::pageSize - 1001};
+    std::uint64_t seed = 1;
+    for (const TypeRef &type : types) {
+        for (const Addr base : bases) {
+            SparseMemory image;
+            fillRegion(image, base, type, ++seed);
+            for (const FpRoundMode &mode : modes) {
+                const StateHasher hasher(locHasher, mode);
+                EXPECT_EQ(check::hashTypedRegion(hasher, image, base, type,
+                                                 type->size()),
+                          referenceTypedRegion(hasher, image, base, type))
+                    << type->describe() << " at " << base;
+            }
+        }
+        // Half-mapped: only the first page of the region holds data.
+        SparseMemory sparse;
+        const Addr base = mem::heapBase + 0x10;
+        const std::vector<std::uint8_t> head(64, 0x3f);
+        sparse.writeBytes(base, head.data(), head.size());
+        const StateHasher hasher(locHasher, FpRoundMode::paperDefault());
+        EXPECT_EQ(check::hashTypedRegion(hasher, sparse, base, type,
+                                         type->size()),
+                  referenceTypedRegion(hasher, sparse, base, type))
+            << type->describe() << " half-mapped";
+    }
+}
+
+TEST(MhmEquivalence, FusedBasicMatchesClusteredHalves)
+{
+    // One store stream with FP stores, rounding toggles, equal-value
+    // stores and start/stop gates: the basic MHM's fused delta and the
+    // clustered MHM's separate halves must end at the same TH.
+    const Crc64LocationHasher locHasher;
+    mhm::BasicMhm basic(locHasher, FpRoundMode::paperDefault());
+    mhm::ClusteredMhm clustered(locHasher, FpRoundMode::paperDefault(), 4,
+                                mhm::DispatchPolicy::Random, 99);
+    std::vector<mhm::Mhm *> units = {&basic, &clustered};
+    for (mhm::Mhm *unit : units)
+        unit->startHashing();
+    SplitMix64 gen(0x3e3);
+    for (int i = 0; i < 4000; ++i) {
+        if (i % 500 == 250) {
+            for (mhm::Mhm *unit : units) {
+                if (unit->fpRoundingEnabled())
+                    unit->stopFpRounding();
+                else
+                    unit->startFpRounding();
+            }
+        }
+        const Addr addr = mem::heapBase + 0x100 - 24 + 4 * (gen.next() % 16);
+        const std::uint64_t kind = gen.next() % 3;
+        const ValueClass cls = kind == 0   ? ValueClass::Integer
+                               : kind == 1 ? ValueClass::Float
+                                           : ValueClass::Double;
+        const unsigned width =
+            cls == ValueClass::Integer ? 1 + gen.next() % 8
+            : cls == ValueClass::Float ? 4
+                                       : 8;
+        const double value = static_cast<double>(gen.next() % 100000) / 7.0;
+        const std::uint64_t old_bits =
+            cls == ValueClass::Integer ? gen.next() : fpBits(value, cls);
+        const std::uint64_t new_bits =
+            i % 5 == 0 ? old_bits
+            : cls == ValueClass::Integer
+                ? gen.next()
+                : fpBits(value + 1e-9 * (i % 4), cls);
+        for (mhm::Mhm *unit : units)
+            unit->observeStore(addr, old_bits, new_bits, width, cls);
+    }
+    EXPECT_EQ(basic.th(), clustered.th());
+    EXPECT_EQ(basic.storesHashed(), clustered.storesHashed());
+    EXPECT_EQ(basic.bytesHashed(), clustered.bytesHashed());
+    EXPECT_NE(basic.th(), ModHash{});
 }
 
 TEST(GoldenVectors, PinnedHashesNeverDrift)

@@ -7,8 +7,11 @@
 #include <cmath>
 #include <cstring>
 #include <gtest/gtest.h>
+#include <limits>
+#include <vector>
 
 #include "hashing/fp_round.hpp"
+#include "support/rng.hpp"
 
 namespace icheck::hashing
 {
@@ -117,6 +120,84 @@ TEST_P(FpRoundDigitsTest, FlooringIsIdempotent)
 
 INSTANTIATE_TEST_SUITE_P(Digits, FpRoundDigitsTest,
                          ::testing::Values(0, 1, 2, 3, 4, 6));
+
+/** The DecimalFloor formula with its scale from std::pow, as the
+ *  round-off unit computed it before the power-of-ten table. */
+double
+powFloorToDigits(double value, int digits)
+{
+    if (!std::isfinite(value))
+        return value;
+    const double scale = std::pow(10.0, digits);
+    const double scaled = value * scale;
+    if (std::fabs(scaled) >= 0x1.0p62)
+        return value;
+    const double floored = std::floor(scaled) / scale;
+    return floored == 0.0 ? 0.0 : floored;
+}
+
+std::uint64_t
+bitsOf(double value)
+{
+    std::uint64_t bits;
+    std::memcpy(&bits, &value, sizeof(bits));
+    return bits;
+}
+
+std::uint32_t
+bitsOf(float value)
+{
+    std::uint32_t bits;
+    std::memcpy(&bits, &value, sizeof(bits));
+    return bits;
+}
+
+TEST(FpRound, DecimalFloorTableIsBitEqualToPowFormula)
+{
+    using limits = std::numeric_limits<double>;
+    std::vector<double> values = {0.0,
+                                  -0.0,
+                                  limits::denorm_min(),
+                                  -limits::denorm_min(),
+                                  1e-310,
+                                  limits::min(),
+                                  limits::max(),
+                                  -limits::max(),
+                                  1e300,
+                                  4.6e18, // near the 2^62 guard
+                                  -9.2e15,
+                                  limits::infinity(),
+                                  -limits::infinity(),
+                                  limits::quiet_NaN(),
+                                  0.1,
+                                  -1.2345678,
+                                  999.9995};
+    // Random magnitudes from 2^-60 to 2^70, and raw bit patterns.
+    SplitMix64 gen(0xf100);
+    for (int i = 0; i < 2000; ++i) {
+        const double unit =
+            static_cast<double>(gen.next() >> 11) * 0x1.0p-53 - 0.5;
+        values.push_back(
+            std::ldexp(unit, static_cast<int>(gen.next() % 131) - 60));
+        const std::uint64_t raw = gen.next();
+        double any;
+        std::memcpy(&any, &raw, sizeof(any));
+        values.push_back(any);
+    }
+    for (int digits = -1; digits <= 23; ++digits) {
+        const FpRoundMode mode = FpRoundMode::floorDigits(digits);
+        for (const double v : values) {
+            EXPECT_EQ(bitsOf(roundDouble(v, mode)),
+                      bitsOf(powFloorToDigits(v, digits)))
+                << "digits " << digits << " v " << v;
+            const float f = static_cast<float>(v);
+            EXPECT_EQ(bitsOf(roundFloat(f, mode)),
+                      bitsOf(static_cast<float>(powFloorToDigits(
+                          static_cast<double>(f), digits))))
+                << "digits " << digits << " f " << f;
+        }
+    }
+}
 
 } // namespace
 } // namespace icheck::hashing

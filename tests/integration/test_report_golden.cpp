@@ -7,11 +7,15 @@
  * the exact `renderReportJson` bytes (what `icheck check <app> --scheme S
  * --input dev --runs 6 --json` prints), so a change that shifts any
  * checkpoint hash, the output-stream hash, an instruction count or the
- * rendering fails here even if it shifts every mode alike. The five apps
- * are integer-only (`icheck list` FP = N), so the bytes do not depend on
- * the host libm; pbzip2 writes an output stream, which pins the
- * output hash through recordsDigest. Together they cover the bit-by-bit,
- * small-struct and NDet classes.
+ * rendering fails here even if it shifts every mode alike. Five apps are
+ * integer-only (`icheck list` FP = N); pbzip2 writes an output stream,
+ * which pins the output hash through recordsDigest. ocean and lu store
+ * doubles, so their pins run the FP round-off unit (DecimalFloor, 3
+ * digits) in all three schemes: the MHM's and SW-Inc's store deltas and
+ * SW-Tr's typed traversal. That path uses only IEEE basic operations and
+ * fabs/floor, so these bytes do not depend on the host libm either.
+ * Together they cover the bit-by-bit, FP-precision, small-struct and
+ * NDet classes.
  */
 
 #include <gtest/gtest.h>
@@ -160,6 +164,51 @@ const GoldenReport kGolden[] = {
         R"("detAtEnd":false,"outputDeterministic":true,)"
         R"("recordsDigest":"52ec22aaf223377e","avgNativeInstrs":2482,)"
         R"("avgOverheadInstrs":7920,"overheadFactor":4.1909750201450446})"},
+    {"ocean", "hw", Scheme::HwInc,
+        R"({"app":"ocean","scheme":"HW-InstantCheck-Inc","runs":6,)"
+        R"("deterministic":true,"firstNdetRun":0,)"
+        R"("checkpointCountsMatch":true,"detPoints":17,"ndetPoints":0,)"
+        R"("detAtEnd":true,"outputDeterministic":true,)"
+        R"("recordsDigest":"701a126dd94a1659","avgNativeInstrs":9588,)"
+        R"("avgOverheadInstrs":136,"overheadFactor":1.0141843971631206})"},
+    {"ocean", "swinc", Scheme::SwInc,
+        R"({"app":"ocean","scheme":"SW-InstantCheck-Inc","runs":6,)"
+        R"("deterministic":true,"firstNdetRun":0,)"
+        R"("checkpointCountsMatch":true,"detPoints":17,"ndetPoints":0,)"
+        R"("detAtEnd":true,"outputDeterministic":true,)"
+        R"("recordsDigest":"0b7d461d85e539f6","avgNativeInstrs":9588,)"
+        R"("avgOverheadInstrs":35016,)"
+        R"("overheadFactor":4.6520650813516893})"},
+    {"ocean", "swtr", Scheme::SwTr,
+        R"({"app":"ocean","scheme":"SW-InstantCheck-Tr","runs":6,)"
+        R"("deterministic":true,"firstNdetRun":0,)"
+        R"("checkpointCountsMatch":true,"detPoints":17,"ndetPoints":0,)"
+        R"("detAtEnd":true,"outputDeterministic":true,)"
+        R"("recordsDigest":"8c60b678902c9037","avgNativeInstrs":9588,)"
+        R"("avgOverheadInstrs":104400,)"
+        R"("overheadFactor":11.888610763454318})"},
+    {"lu", "hw", Scheme::HwInc,
+        R"({"app":"lu","scheme":"HW-InstantCheck-Inc","runs":6,)"
+        R"("deterministic":true,"firstNdetRun":0,)"
+        R"("checkpointCountsMatch":true,"detPoints":7,"ndetPoints":0,)"
+        R"("detAtEnd":true,"outputDeterministic":true,)"
+        R"("recordsDigest":"b1d51297b67fcf1d","avgNativeInstrs":8940,)"
+        R"("avgOverheadInstrs":56,"overheadFactor":1.0062639821029082})"},
+    {"lu", "swinc", Scheme::SwInc,
+        R"({"app":"lu","scheme":"SW-InstantCheck-Inc","runs":6,)"
+        R"("deterministic":true,"firstNdetRun":0,)"
+        R"("checkpointCountsMatch":true,"detPoints":7,"ndetPoints":0,)"
+        R"("detAtEnd":true,"outputDeterministic":true,)"
+        R"("recordsDigest":"f4613b5c51a21dad","avgNativeInstrs":8940,)"
+        R"("avgOverheadInstrs":108824,)"
+        R"("overheadFactor":13.172706935123042})"},
+    {"lu", "swtr", Scheme::SwTr,
+        R"({"app":"lu","scheme":"SW-InstantCheck-Tr","runs":6,)"
+        R"("deterministic":true,"firstNdetRun":0,)"
+        R"("checkpointCountsMatch":true,"detPoints":7,"ndetPoints":0,)"
+        R"("detAtEnd":true,"outputDeterministic":true,)"
+        R"("recordsDigest":"5d3c121f00c43b33","avgNativeInstrs":8940,)"
+        R"("avgOverheadInstrs":81920,"overheadFactor":10.16331096196868})"},
 };
 
 /** Keeps the parameter's printed form (part of the listed test name)

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 #include <memory>
+#include <vector>
 
 #include "check/checker.hpp"
 #include "check/driver.hpp"
@@ -21,12 +22,13 @@ namespace
 /**
  * Deterministic program whose "analysis tool" logs schedule-dependent
  * data (the time-ordered tid) to scratch. @p use_window selects whether
- * the tool runs inside a stop_hashing window.
+ * the tool runs inside a stop_hashing window; @p poke_global whether it
+ * also writes a global inside the checked state.
  */
 check::ProgramFactory
-withTool(bool use_window)
+withTool(bool use_window, bool poke_global = true)
 {
-    return [use_window] {
+    return [use_window, poke_global] {
         auto mutex_id = std::make_shared<MutexId>();
         return std::make_unique<LambdaProgram>(
             "tooled", 4,
@@ -35,7 +37,7 @@ withTool(bool use_window)
                 ctx.global("tool_order", mem::tInt64());
                 *mutex_id = ctx.mutex();
             },
-            [mutex_id, use_window](ThreadCtx &ctx) {
+            [mutex_id, use_window, poke_global](ThreadCtx &ctx) {
                 for (int i = 0; i < 5; ++i) {
                     ctx.lock(*mutex_id);
                     const auto v =
@@ -51,9 +53,11 @@ withTool(bool use_window)
                         log_slot, static_cast<std::int64_t>(v * 10 +
                                                             ctx.tid()));
                     // Also a racy-looking shared tool location.
-                    ctx.store<std::int64_t>(
-                        ctx.global("tool_order"),
-                        static_cast<std::int64_t>(ctx.tid()));
+                    if (poke_global) {
+                        ctx.store<std::int64_t>(
+                            ctx.global("tool_order"),
+                            static_cast<std::int64_t>(ctx.tid()));
+                    }
                     if (use_window)
                         ctx.startHashing();
                     ctx.unlock(*mutex_id);
@@ -137,6 +141,39 @@ TEST(HashingWindow, SchemesAgreeWithWindowsActive)
     const auto hw = trace(check::Scheme::HwInc);
     const auto sw = trace(check::Scheme::SwInc);
     EXPECT_EQ(hw, sw);
+}
+
+TEST(HashingWindow, CampaignsArmTheMhmOnlyForHwInc)
+{
+    // A campaign arms the MHM only when its scheme reads TH. SW-Inc must
+    // still skip windowed stores with the MHM off: the window is the
+    // thread's gate, not the hardware's. The tool writes scratch only,
+    // which traversal never visits, so all three schemes must agree.
+    std::vector<std::vector<HashWord>> hashes[3];
+    const check::Scheme schemes[] = {check::Scheme::HwInc,
+                                     check::Scheme::SwInc,
+                                     check::Scheme::SwTr};
+    for (int i = 0; i < 3; ++i) {
+        check::DriverConfig cfg = driverConfig(schemes[i]);
+        cfg.runs = 4;
+        const auto report = check::DeterminismDriver(cfg).check(
+            withTool(true, /*poke_global=*/false));
+        EXPECT_TRUE(report.deterministic())
+            << check::schemeName(schemes[i]);
+        for (const check::RunRecord &record : report.records) {
+            if (schemes[i] == check::Scheme::HwInc)
+                EXPECT_GT(record.result.storesHashed, 0u);
+            else
+                EXPECT_EQ(record.result.storesHashed, 0u)
+                    << check::schemeName(schemes[i]);
+            hashes[i].push_back(record.checkpointHashes);
+        }
+    }
+    EXPECT_EQ(hashes[0], hashes[1]) << "HW-Inc vs SW-Inc";
+    EXPECT_EQ(hashes[0], hashes[2]) << "HW-Inc vs SW-Tr";
+    EXPECT_NE(hashes[0].front(), std::vector<HashWord>(
+                                     hashes[0].front().size(), 0))
+        << "the checked global must change the hash";
 }
 
 TEST(HashingWindow, WindowTravelsAcrossContextSwitches)

@@ -8,7 +8,7 @@
  *     --update-baseline      rewrite the --baseline file in place
  *     --race-log FILE        cross-check against a dynamic race log
  *     --sarif FILE           also emit SARIF 2.1.0 to FILE
- *     --jobs N               parallel file scans (0 = hardware)
+ *     --jobs N               parallel file scans, 0..256 (0 = hardware)
  *     --list-rules           describe every rule and exit
  *     --jsonl                machine-readable output, one JSON per line
  *     --quiet                suppress per-finding hints
@@ -17,15 +17,15 @@
  * 2 on usage or I/O errors.
  */
 
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "linter.hpp"
 #include "sarif.hpp"
+#include "support/cli_args.hpp"
 
 namespace
 {
@@ -83,8 +83,8 @@ main(int argc, char **argv)
         } else if (arg == "--sarif" && i + 1 < argc) {
             sarif_path = argv[++i];
         } else if (arg == "--jobs" && i + 1 < argc) {
-            config.jobs =
-                static_cast<unsigned>(std::atoi(argv[++i]));
+            config.jobs = static_cast<unsigned>(icheck::parseNumber(
+                "--jobs", argv[++i], 0, icheck::kMaxJobs));
         } else if (arg == "--jsonl") {
             jsonl = true;
         } else if (arg == "--quiet") {
@@ -114,7 +114,13 @@ main(int argc, char **argv)
                       << "\n";
             return 2;
         }
-        races = readRaceLog(in);
+        try {
+            races = readRaceLog(in);
+        } catch (const std::invalid_argument &error) {
+            std::cerr << "icheck-lint: " << race_log_path << ": "
+                      << error.what() << "\n";
+            return 2;
+        }
     }
 
     LintRun run;

@@ -1,7 +1,9 @@
 #include "racelog.hpp"
 
-#include <cstdlib>
+#include <charconv>
 #include <istream>
+#include <stdexcept>
+#include <system_error>
 
 namespace icheck::lint
 {
@@ -34,7 +36,11 @@ stringField(const std::string &text, const std::string &key)
     return "";
 }
 
-/** Value of `"key":123`, or 0. */
+/**
+ * Value of `"key":123`, or 0 if absent. A present value must be plain
+ * decimal digits that fit an int and end the member; anything else
+ * throws std::invalid_argument naming the key.
+ */
 int
 intField(const std::string &text, const std::string &key)
 {
@@ -42,7 +48,23 @@ intField(const std::string &text, const std::string &key)
     const std::size_t at = text.find(needle);
     if (at == std::string::npos)
         return 0;
-    return std::atoi(text.c_str() + at + needle.size());
+    const char *begin = text.data() + at + needle.size();
+    const char *end = text.data() + text.size();
+    int value = 0;
+    const auto [stop, ec] = std::from_chars(begin, end, value);
+    if (ec != std::errc{} || value < 0 ||
+        (stop != end && *stop != ',' && *stop != '}')) {
+        const std::size_t stop_at =
+            text.find_first_of(",}", at + needle.size());
+        throw std::invalid_argument(
+            "\"" + key + "\" expects a non-negative integer, got '" +
+            text.substr(at + needle.size(),
+                        stop_at == std::string::npos
+                            ? std::string::npos
+                            : stop_at - at - needle.size()) +
+            "'");
+    }
+    return value;
 }
 
 /** The braced object after `"key":{`, or "" if absent. */
@@ -82,15 +104,22 @@ readRaceLog(std::istream &in)
 {
     std::vector<DynamicRace> races;
     std::string line;
-    while (std::getline(in, line)) {
+    for (std::size_t number = 1; std::getline(in, line); ++number) {
         DynamicRace race;
         race.app = stringField(line, "app");
         race.kind = stringField(line, "kind");
         race.symbol = stringField(line, "symbol");
-        const bool first_ok =
-            parseEndpoint(objectField(line, "first"), race.first);
-        const bool second_ok =
-            parseEndpoint(objectField(line, "second"), race.second);
+        bool first_ok = false;
+        bool second_ok = false;
+        try {
+            first_ok =
+                parseEndpoint(objectField(line, "first"), race.first);
+            second_ok =
+                parseEndpoint(objectField(line, "second"), race.second);
+        } catch (const std::invalid_argument &error) {
+            throw std::invalid_argument("line " + std::to_string(number) +
+                                        ": " + error.what());
+        }
         // A record is useful once either endpoint carries attribution;
         // unattributed endpoints keep line 0 and never match anything.
         if (!race.kind.empty() && (first_ok || second_ok))

@@ -47,7 +47,9 @@ struct DynamicRace
 /**
  * Parse a JSONL race log. Tolerant: lines that are not parseable race
  * records are skipped, never fatal (the log may be concatenated across
- * apps and tools).
+ * apps and tools). A record whose endpoint "line" or "tid" is not a
+ * non-negative decimal integer throws std::invalid_argument naming the
+ * field and the log line.
  */
 std::vector<DynamicRace> readRaceLog(std::istream &in);
 
