@@ -4,8 +4,9 @@
  * second for a native run, with the HW checker attached (MHM hashing
  * every store), with the software checkers, and with the FastTrack race
  * detector attached — the cost of using this library, as opposed to the
- * modeled target overheads of Figure 6 — plus the SparseMemory layer
- * every access ends in, word by word and in bulk.
+ * modeled target overheads of Figure 6 — plus the two layers every
+ * access crosses: the fiber switch the scheduler hands slices over, and
+ * the SparseMemory every access ends in, word by word and in bulk.
  */
 
 #include <benchmark/benchmark.h>
@@ -16,6 +17,7 @@
 #include "check/checker.hpp"
 #include "mem/memory.hpp"
 #include "race/race_detector.hpp"
+#include "sim/fiber.hpp"
 #include "sim/lambda_program.hpp"
 #include "sim/machine.hpp"
 #include "support/rng.hpp"
@@ -129,6 +131,24 @@ BM_MachineRaceDetector(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(accesses));
 }
 
+/** One fiber resume+yield round trip: the scheduler's handoff. */
+void
+BM_FiberSwitch(benchmark::State &state)
+{
+    sim::SimFiber fiber;
+    bool stop = false;
+    fiber.start([&] {
+        while (!stop)
+            fiber.yield();
+    });
+    for (auto _ : state)
+        fiber.resume();
+    stop = true;
+    fiber.resume();
+    fiber.join();
+    state.SetItemsProcessed(state.iterations());
+}
+
 /** SparseMemory word access: one 8-byte write and one read per item. */
 void
 BM_SparseMemoryWord(benchmark::State &state)
@@ -174,5 +194,6 @@ BENCHMARK(BM_MachineHwInc)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_MachineSwInc)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_MachineSwTr)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_MachineRaceDetector)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_FiberSwitch);
 BENCHMARK(BM_SparseMemoryWord);
 BENCHMARK(BM_SparseMemoryBulk)->Unit(benchmark::kMicrosecond);

@@ -67,6 +67,14 @@ class L1Cache
 
     const CacheConfig &config() const { return cfg; }
 
+    /** Bytes of the tag array, which every copy of the cache duplicates
+     *  (checkpoint-cache budgeting). */
+    std::size_t
+    footprintBytes() const
+    {
+        return lines.capacity() * sizeof(Line);
+    }
+
   private:
     struct Line
     {

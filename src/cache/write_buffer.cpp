@@ -7,9 +7,9 @@ namespace icheck::cache
 
 WriteBuffer::WriteBuffer(std::size_t capacity, DrainPolicy policy,
                          std::uint64_t seed)
-    : cap(capacity), drainPolicy(policy), rng(seed)
+    : drainPolicy(policy), rng(seed), slots(capacity)
 {
-    ICHECK_ASSERT(cap > 0, "write buffer needs capacity");
+    ICHECK_ASSERT(capacity > 0, "write buffer needs capacity");
 }
 
 std::size_t
@@ -19,9 +19,9 @@ WriteBuffer::pickIndex()
       case DrainPolicy::Fifo:
         return 0;
       case DrainPolicy::Lifo:
-        return entries.size() - 1;
+        return count - 1;
       case DrainPolicy::Random:
-        return static_cast<std::size_t>(rng.below(entries.size()));
+        return static_cast<std::size_t>(rng.below(count));
     }
     ICHECK_PANIC("unknown DrainPolicy");
 }

@@ -18,7 +18,7 @@
  */
 
 #include <cstdint>
-#include <deque>
+#include <vector>
 
 #include "hashing/state_hash.hpp"
 #include "support/rng.hpp"
@@ -80,7 +80,10 @@ enum class DrainPolicy
 };
 
 /**
- * Bounded write buffer with pluggable drain order.
+ * Bounded write buffer with pluggable drain order: a fixed ring of
+ * `capacity` slots holding the entries oldest first. A FIFO drain pops
+ * the head; LIFO and Random remove the chosen entry and shift the later
+ * ones down, so the remaining entries always keep their arrival order.
  */
 class WriteBuffer
 {
@@ -103,9 +106,10 @@ class WriteBuffer
     void
     push(const WriteBufferEntry &entry, const Sink &sink)
     {
-        if (entries.size() >= cap)
+        if (count == slots.size())
             drainOne(sink);
-        entries.push_back(entry);
+        slots[slot(count)] = entry;
+        ++count;
     }
 
     /** Drain everything via @p sink in policy order. */
@@ -113,16 +117,25 @@ class WriteBuffer
     void
     drainAll(const Sink &sink)
     {
-        while (!entries.empty())
+        while (count != 0)
             drainOne(sink);
     }
 
     /** Buffered entry count. */
-    std::size_t size() const { return entries.size(); }
+    std::size_t size() const { return count; }
 
   private:
-    /** Index of the next entry to drain under the current policy. */
+    /** Index of the next entry to drain under the current policy, in
+     *  arrival order (0 = oldest). */
     std::size_t pickIndex();
+
+    /** Ring slot of the entry at arrival-order index @p idx. */
+    std::size_t
+    slot(std::size_t idx) const
+    {
+        const std::size_t pos = head + idx;
+        return pos < slots.size() ? pos : pos - slots.size();
+    }
 
     /** Pop the policy-selected entry and hand it to @p sink. */
     template <typename Sink>
@@ -130,15 +143,22 @@ class WriteBuffer
     drainOne(const Sink &sink)
     {
         const std::size_t idx = pickIndex();
-        const WriteBufferEntry entry = entries[idx];
-        entries.erase(entries.begin() + static_cast<std::ptrdiff_t>(idx));
+        const WriteBufferEntry entry = slots[slot(idx)];
+        if (idx == 0) {
+            head = slot(1);
+        } else {
+            for (std::size_t i = idx + 1; i < count; ++i)
+                slots[slot(i - 1)] = slots[slot(i)];
+        }
+        --count;
         sink(entry);
     }
 
-    std::size_t cap;
     DrainPolicy drainPolicy;
     Xoshiro256 rng;
-    std::deque<WriteBufferEntry> entries;
+    std::vector<WriteBufferEntry> slots; ///< The ring; size() = capacity.
+    std::size_t head = 0;  ///< Slot of the oldest entry.
+    std::size_t count = 0; ///< Buffered entries.
 };
 
 } // namespace icheck::cache

@@ -138,24 +138,33 @@ CheckpointTree::hashPrefix(std::size_t owner, const std::uint32_t *choices,
 }
 
 void
+CheckpointTree::dropEntry(Shard &shard, EntryMap::iterator it)
+{
+    shard.bytesResident -= std::min(shard.bytesResident, it->second->bytes);
+    ++shard.evicted;
+    shard.byUse.erase(it->second->lastUse);
+    // Dropping the map's shared_ptr: a worker holding a lease keeps the
+    // entry (and its snapshot) alive until it finishes with it.
+    shard.entries.erase(it);
+}
+
+void
+CheckpointTree::touch(Shard &shard, CheckpointEntry &entry,
+                      std::uint64_t stamp)
+{
+    auto node = shard.byUse.extract(entry.lastUse);
+    node.key() = stamp;
+    shard.byUse.insert(std::move(node));
+    entry.lastUse = stamp;
+}
+
+void
 CheckpointTree::evictFor(Shard &shard, std::size_t need,
                          std::size_t shard_budget)
 {
-    while (!shard.entries.empty() &&
-           shard.bytesResident + need > shard_budget) {
-        auto victim = shard.entries.begin();
-        for (auto it = shard.entries.begin(); it != shard.entries.end();
-             ++it) {
-            if (it->second->lastUse < victim->second->lastUse)
-                victim = it;
-        }
-        shard.bytesResident -= std::min(shard.bytesResident,
-                                        victim->second->bytes);
-        ++shard.evicted;
-        // Dropping the map's shared_ptr: a worker holding a lease keeps
-        // the entry (and its snapshot) alive until it finishes with it.
-        shard.entries.erase(victim);
-    }
+    while (!shard.byUse.empty() &&
+           shard.bytesResident + need > shard_budget)
+        dropEntry(shard, shard.entries.find(shard.byUse.begin()->second));
 }
 
 void
@@ -171,21 +180,19 @@ CheckpointTree::insert(CheckpointEntry entry)
     if (it != shard.entries.end()) {
         if (it->second->owner == entry.owner &&
             it->second->chosen == entry.chosen) {
-            it->second->lastUse = stamp; // already resident; refresh
+            touch(shard, *it->second, stamp); // already resident; refresh
             return;
         }
         // Key collision with a different prefix: replace (lookups verify
         // the exact history, so keeping just one is merely a cache miss
         // for the displaced prefix).
-        shard.bytesResident -= std::min(shard.bytesResident,
-                                        it->second->bytes);
-        ++shard.evicted;
-        shard.entries.erase(it);
+        dropEntry(shard, it);
     }
     evictFor(shard, entry.bytes, shardBudget);
     entry.lastUse = stamp;
     shard.bytesResident += entry.bytes;
     ++shard.created;
+    shard.byUse.emplace(stamp, key);
     shard.entries.emplace(
         key, std::make_shared<CheckpointEntry>(std::move(entry)));
 }
@@ -216,8 +223,8 @@ CheckpointTree::deepestAncestor(std::size_t owner,
                         prefix.begin())) {
             continue; // hash collision; treat as absent
         }
-        entry->lastUse =
-            useClock.fetch_add(1, std::memory_order_relaxed) + 1;
+        touch(shard, *entry,
+              useClock.fetch_add(1, std::memory_order_relaxed) + 1);
         return entry;
     }
     return nullptr;

@@ -182,16 +182,24 @@ class CheckpointTree
     std::uint64_t residentBytes() const;
     /// @}
 
-  private:
+    /** Shard count; shard of a prefix is hashPrefix() % numShards, and
+     *  each shard holds budget / numShards bytes. */
     static constexpr std::size_t numShards = 16;
+
+  private:
+    /** Ordered map: iteration order is deterministic (lint rule D1);
+     *  keyed by the prefix hash, with collisions resolved by the
+     *  exact-history compare in the entry. */
+    using EntryMap =
+        std::map<std::uint64_t, std::shared_ptr<CheckpointEntry>>;
 
     struct Shard
     {
         mutable std::mutex mu;
-        /** Ordered map: iteration order is deterministic (lint rule D1);
-         *  keyed by the prefix hash, with collisions resolved by the
-         *  exact-history compare in the entry. */
-        std::map<std::uint64_t, std::shared_ptr<CheckpointEntry>> entries;
+        EntryMap entries;
+        /** lastUse -> key of every resident entry, least recent first:
+         *  the eviction order. Stamps are unique (one clock tick each). */
+        std::map<std::uint64_t, std::uint64_t> byUse;
         std::size_t bytesResident = 0;
         std::uint64_t created = 0;
         std::uint64_t evicted = 0;
@@ -202,6 +210,13 @@ class CheckpointTree
     /** Evict LRU entries from @p shard until @p need more bytes fit. */
     static void evictFor(Shard &shard, std::size_t need,
                          std::size_t shard_budget);
+
+    /** Drop the resident entry at @p it, counting it as evicted. */
+    static void dropEntry(Shard &shard, EntryMap::iterator it);
+
+    /** Move @p entry (resident in @p shard) to use stamp @p stamp. */
+    static void touch(Shard &shard, CheckpointEntry &entry,
+                      std::uint64_t stamp);
 
     std::array<Shard, numShards> shards;
     std::size_t shardBudget;

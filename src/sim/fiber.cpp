@@ -12,55 +12,75 @@
 
 #if !ICHECK_FIBER_THREADS
 #include <cstring>
-#endif
+
+extern "C" {
+/**
+ * Push the callee-saved state onto the current stack, store the stack
+ * pointer to *save_sp, load load_sp and pop the state saved there. Under
+ * the System V ABI that state is rbp, rbx, r12–r15, the MXCSR and the x87
+ * control word; everything else is caller-saved around the call. A saved
+ * stack pointer addresses, lowest first: MXCSR (4 bytes), x87 control
+ * word (2 bytes, 2 of padding), r15, r14, r13, r12, rbx, rbp, and the
+ * return address.
+ */
+void icheck_fiber_switch(void **save_sp, void *load_sp);
+
+/**
+ * The first return address of a new fiber: calls rbx(r12), i.e.
+ * trampoline(fiber), from the frame SimFiber::resume() built. It marks
+ * the return address undefined so unwinders stop at the fiber's base.
+ */
+void icheck_fiber_start();
+}
+
+asm(R"(
+    .pushsection .text
+    .globl icheck_fiber_switch
+    .hidden icheck_fiber_switch
+    .type icheck_fiber_switch, @function
+    .p2align 4
+icheck_fiber_switch:
+    pushq %rbp
+    pushq %rbx
+    pushq %r12
+    pushq %r13
+    pushq %r14
+    pushq %r15
+    subq $8, %rsp
+    stmxcsr (%rsp)
+    fnstcw 4(%rsp)
+    movq %rsp, (%rdi)
+    movq %rsi, %rsp
+    ldmxcsr (%rsp)
+    fldcw 4(%rsp)
+    addq $8, %rsp
+    popq %r15
+    popq %r14
+    popq %r13
+    popq %r12
+    popq %rbx
+    popq %rbp
+    ret
+    .size icheck_fiber_switch, .-icheck_fiber_switch
+
+    .globl icheck_fiber_start
+    .hidden icheck_fiber_start
+    .type icheck_fiber_start, @function
+    .p2align 4
+icheck_fiber_start:
+    .cfi_startproc
+    .cfi_undefined rip
+    movq %r12, %rdi
+    callq *%rbx
+    ud2
+    .cfi_endproc
+    .size icheck_fiber_start, .-icheck_fiber_start
+    .popsection
+)");
+#endif // !ICHECK_FIBER_THREADS
 
 namespace icheck::sim
 {
-
-#if !ICHECK_FIBER_THREADS
-namespace
-{
-
-/**
- * memcpy for stack images. Under ASan the parked stack carries poisoned
- * redzones that a plain memcpy would trip over, so the copy helpers are
- * exempted from instrumentation; restore() additionally unpoisons the
- * whole stack buffer so the resurrected frames (whose redzone layout no
- * longer matches the shadow state of the abandoned frames) do not raise
- * false positives. The cost is reduced ASan precision *within* restored
- * fiber stacks — documented in DESIGN.md §9.
- */
-#if ICHECK_FIBER_ASAN
-__attribute__((no_sanitize("address")))
-#endif
-void
-copyStackBytes(void *dst, const void *src, std::size_t len)
-{
-    std::memcpy(dst, src, len);
-}
-
-/** Bytes below the saved stack pointer also captured: the System V ABI
- *  red zone (128 bytes) plus margin for any deeper scratch use. */
-constexpr std::size_t stackRedzone = 512;
-
-/** Saved stack pointer of a parked context, or 0 when the architecture
- *  is not recognized (the caller then images the whole stack). */
-std::uintptr_t
-contextSp(const ucontext_t &context)
-{
-#if defined(__x86_64__)
-    return static_cast<std::uintptr_t>(
-        context.uc_mcontext.gregs[REG_RSP]);
-#elif defined(__aarch64__)
-    return static_cast<std::uintptr_t>(context.uc_mcontext.sp);
-#else
-    (void)context;
-    return 0;
-#endif
-}
-
-} // namespace
-#endif // !ICHECK_FIBER_THREADS
 
 #if ICHECK_FIBER_THREADS
 
@@ -77,7 +97,8 @@ SimFiber::start(std::function<void()> body)
     entry = std::move(body);
     host = std::thread([this] {
         runSem.acquire();
-        entry();
+        if (!skipBody)
+            entry();
         done = true;
         doneSem.release();
     });
@@ -87,6 +108,7 @@ void
 SimFiber::resume()
 {
     ICHECK_ASSERT(entry && !done, "resume of an unstarted/finished fiber");
+    started = true;
     runSem.release();
     doneSem.acquire();
 }
@@ -103,8 +125,12 @@ SimFiber::join()
 {
     if (!host.joinable())
         return;
-    if (!done)
-        runSem.release(); // wake a parked body so it can exit
+    if (!done) {
+        // Wake the thread so it can exit: a never-resumed body is
+        // skipped, a parked one must see its own abort flag.
+        skipBody = !started;
+        runSem.release();
+    }
     host.join();
 }
 
@@ -118,48 +144,41 @@ FiberSnapshot
 SimFiber::snapshot() const
 {
     ICHECK_PANIC("fiber snapshots are unavailable with host-thread "
-                 "fibers (TSan builds)");
+                 "fibers");
 }
 
 void
 SimFiber::restore(const FiberSnapshot &)
 {
     ICHECK_PANIC("fiber snapshots are unavailable with host-thread "
-                 "fibers (TSan builds)");
+                 "fibers");
 }
 
-#else // ucontext implementation
+#else // stack-switch implementation
 
 SimFiber::~SimFiber() = default;
 
 void
-SimFiber::trampoline(unsigned hi, unsigned lo)
-{
-    auto *fiber = reinterpret_cast<SimFiber *>(
-        (static_cast<std::uintptr_t>(hi) << 32) |
-        static_cast<std::uintptr_t>(lo));
-    fiber->bodyMain();
-    // Returning resumes uc_link (the scheduler-side context saved by the
-    // resume() that ran this slice).
-}
-
-void
-SimFiber::bodyMain()
+SimFiber::trampoline(SimFiber *fiber)
 {
 #if ICHECK_FIBER_ASAN
     // First entry onto this stack: tell ASan where we came from so the
     // switch back is annotated with real bounds.
-    __sanitizer_finish_switch_fiber(nullptr, &parentStackBottom,
-                                    &parentStackSize);
+    __sanitizer_finish_switch_fiber(nullptr, &fiber->parentStackBottom,
+                                    &fiber->parentStackSize);
 #endif
-    entry();
-    done = true;
+    fiber->entry();
+    fiber->done = true;
 #if ICHECK_FIBER_ASAN
-    // This stack dies now (uc_link return): null fake_stack_save tells
-    // ASan to destroy its fake stack instead of preserving it.
-    __sanitizer_start_switch_fiber(nullptr, parentStackBottom,
-                                   parentStackSize);
+    // This stack dies now: null fake_stack_save tells ASan to destroy
+    // its fake stack instead of preserving it.
+    __sanitizer_start_switch_fiber(nullptr, fiber->parentStackBottom,
+                                   fiber->parentStackSize);
 #endif
+    // Switch back for the last time. This stack is entered again only
+    // through a new initial frame (a restart) or a restored image.
+    icheck_fiber_switch(&fiber->fiberSp, fiber->schedSp);
+    ICHECK_PANIC("a finished fiber was resumed");
 }
 
 void
@@ -186,22 +205,39 @@ SimFiber::resume()
             stack = std::make_unique_for_overwrite<std::uint8_t[]>(
                 stackBytes);
         }
-        const int got = getcontext(&self);
-        ICHECK_ASSERT(got == 0, "getcontext failed");
-        self.uc_stack.ss_sp = stack.get();
-        self.uc_stack.ss_size = stackBytes;
-        self.uc_link = &ret;
-        const auto ptr = reinterpret_cast<std::uintptr_t>(this);
-        makecontext(&self, reinterpret_cast<void (*)()>(&trampoline), 2,
-                    static_cast<unsigned>(ptr >> 32),
-                    static_cast<unsigned>(ptr & 0xffffffffu));
+#if ICHECK_FIBER_ASAN
+        // A restart may find redzones of the previous body's frames.
+        __asan_unpoison_memory_region(stack.get(), stackBytes);
+#endif
+        // The initial frame, laid out as icheck_fiber_switch pops it,
+        // "returns" into the start stub with the stack 16-byte aligned,
+        // as the ABI requires before its call. The new fiber inherits
+        // this side's MXCSR and x87 control word.
+        const std::uintptr_t top =
+            (reinterpret_cast<std::uintptr_t>(stack.get()) + stackBytes) &
+            ~std::uintptr_t{15};
+        std::uint32_t mxcsr = 0;
+        std::uint16_t fpucw = 0;
+        asm volatile("stmxcsr %0" : "=m"(mxcsr));
+        asm volatile("fnstcw %0" : "=m"(fpucw));
+        const std::uint64_t frame[8] = {
+            mxcsr | std::uint64_t{fpucw} << 32,
+            0, // r15
+            0, // r14
+            0, // r13
+            reinterpret_cast<std::uintptr_t>(this), // r12
+            reinterpret_cast<std::uintptr_t>(&trampoline), // rbx
+            0, // rbp
+            reinterpret_cast<std::uintptr_t>(&icheck_fiber_start),
+        };
+        fiberSp = reinterpret_cast<void *>(top - 16 - sizeof(frame));
+        std::memcpy(fiberSp, frame, sizeof(frame));
     }
 #if ICHECK_FIBER_ASAN
     void *fakeStack = nullptr;
     __sanitizer_start_switch_fiber(&fakeStack, stack.get(), stackBytes);
 #endif
-    const int swapped = swapcontext(&ret, &self);
-    ICHECK_ASSERT(swapped == 0, "swapcontext failed");
+    icheck_fiber_switch(&schedSp, fiberSp);
 #if ICHECK_FIBER_ASAN
     __sanitizer_finish_switch_fiber(fakeStack, nullptr, nullptr);
 #endif
@@ -215,8 +251,7 @@ SimFiber::yield()
     __sanitizer_start_switch_fiber(&fakeStack, parentStackBottom,
                                    parentStackSize);
 #endif
-    const int swapped = swapcontext(&self, &ret);
-    ICHECK_ASSERT(swapped == 0, "swapcontext failed");
+    icheck_fiber_switch(&fiberSp, schedSp);
 #if ICHECK_FIBER_ASAN
     __sanitizer_finish_switch_fiber(fakeStack, nullptr, nullptr);
 #endif
@@ -225,8 +260,8 @@ SimFiber::yield()
 void
 SimFiber::join()
 {
-    // Nothing to release: an unfinished fiber's stack and context die
-    // with the object, and a parked one is simply never resumed again.
+    // Nothing to release: an unfinished fiber's stack dies with the
+    // object, and a parked one is simply never resumed again.
 }
 
 bool
@@ -244,22 +279,21 @@ SimFiber::snapshot() const
     if (!started || done)
         return snap; // no live frames: flags are the whole state
     ICHECK_ASSERT(stack != nullptr, "started fiber without a stack");
-    snap.context = self;
+    // Image only the live region, [saved sp, stack top): the switch
+    // pushed everything the parked fiber keeps at or above its saved
+    // stack pointer.
+    const auto *low = static_cast<const std::uint8_t *>(fiberSp);
+    const std::uint8_t *top = stack.get() + stackBytes;
+    ICHECK_ASSERT(low >= stack.get() && low < top,
+                  "parked fiber's stack pointer is off its stack");
+#if ICHECK_FIBER_ASAN
+    // The parked frames' redzones are still poisoned, and the copy
+    // below would trip over them.
+    __asan_unpoison_memory_region(low, static_cast<std::size_t>(top - low));
+#endif
     snap.stackBase = stack.get();
-    // Image only the live region: [sp - redzone, stack top). The saved
-    // stack pointer comes from the context swapcontext() filled when the
-    // fiber parked; if the architecture is unrecognized, fall back to
-    // imaging the whole buffer (correct, just larger).
-    const auto base = reinterpret_cast<std::uintptr_t>(stack.get());
-    const std::uintptr_t top = base + stackBytes;
-    std::uintptr_t low = contextSp(self);
-    low = low >= base + stackRedzone ? low - stackRedzone : base;
-    if (low < base || low > top)
-        low = base;
-    snap.imageOffset = low - base;
-    snap.image.resize(top - low);
-    copyStackBytes(snap.image.data(),
-                   reinterpret_cast<const void *>(low), top - low);
+    snap.sp = fiberSp;
+    snap.image.assign(low, top);
     return snap;
 }
 
@@ -267,33 +301,26 @@ void
 SimFiber::restore(const FiberSnapshot &snap)
 {
     ICHECK_ASSERT(entry, "restore of an unstarted SimFiber");
-    if (!snap.started || snap.done) {
-        // Pre-start or post-finish state: no frames to resurrect. A
-        // restored pre-start fiber re-runs makecontext on its next
-        // resume (on the same, preserved stack buffer).
-        started = snap.started;
-        done = snap.done;
+    started = snap.started;
+    done = snap.done;
+    // Pre-start or post-finish state: no frames to resurrect. A restored
+    // pre-start fiber builds a new initial frame on its next resume (on
+    // the same, preserved stack buffer).
+    if (!snap.started || snap.done)
         return;
-    }
     ICHECK_ASSERT(stack != nullptr && stack.get() == snap.stackBase,
                   "fiber snapshot restored into a different fiber");
-    ICHECK_ASSERT(snap.imageOffset + snap.image.size() == stackBytes,
+    ICHECK_ASSERT(snap.image.size() <= stackBytes,
                   "malformed fiber stack image");
 #if ICHECK_FIBER_ASAN
     // The abandoned frames' redzone poisoning no longer describes the
-    // resurrected frames; clear it wholesale (see copyStackBytes).
+    // resurrected frames; clear it wholesale. This costs ASan precision
+    // within restored fiber stacks (DESIGN.md §9).
     __asan_unpoison_memory_region(stack.get(), stackBytes);
 #endif
-    copyStackBytes(stack.get() + snap.imageOffset, snap.image.data(),
-                   snap.image.size());
-    // The context is rewound by value. Its internal pointers stay valid
-    // because they refer to this object's own members (glibc points
-    // uc_mcontext.fpregs at the context's embedded FP save area, and
-    // uc_link at this->ret), whose addresses are stable for the life of
-    // the fiber.
-    self = snap.context;
-    started = true;
-    done = false;
+    std::memcpy(stack.get() + stackBytes - snap.image.size(),
+                snap.image.data(), snap.image.size());
+    fiberSp = snap.sp;
 }
 
 #endif

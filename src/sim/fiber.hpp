@@ -12,16 +12,21 @@
  * semantics — every run produces bit-identical events and hashes no matter
  * how the handoff is implemented.
  *
- * Two implementations exist behind this interface:
+ * One implementation per platform:
  *
- *  - user-level contexts (ucontext): a cooperative switch costs a few
- *    hundred nanoseconds, which matters because the scheduler switches
- *    every quantum (~100 simulated accesses). Under AddressSanitizer the
- *    switches carry the sanitizer fiber annotations.
- *  - host threads + semaphore handoff: the original mechanism, kept for
- *    ThreadSanitizer builds (TSan models the semaphores natively but has
- *    no stable story for ucontext stacks). A semaphore round trip costs
- *    microseconds, so this path is for checking, not for throughput.
+ *  - x86-64: a hand-written stack switch (fiber.cpp). It saves only what
+ *    the System V ABI makes the callee keep — rbp, rbx, r12–r15, the
+ *    MXCSR and the x87 control word — on the stack it leaves, swaps the
+ *    stack pointer, and pops the same state off the other stack: no
+ *    syscall, no signal mask, no full FP environment. The scheduler
+ *    switches every quantum (~100 simulated accesses), so this is on
+ *    every run's hot path. Under AddressSanitizer the switches carry the
+ *    sanitizer fiber annotations. The switch keeps no CET shadow stack.
+ *  - every other target, and ThreadSanitizer builds: host threads with a
+ *    semaphore handoff (TSan models the semaphores natively but has no
+ *    stable story for switched stacks). A semaphore round trip costs
+ *    microseconds and snapshots are unavailable, so this path is for
+ *    checking, not for throughput.
  */
 
 #include <cstddef>
@@ -29,15 +34,15 @@
 #include <functional>
 #include <vector>
 
-#if defined(__SANITIZE_THREAD__)
+#if defined(__SANITIZE_THREAD__) ||                                      \
+    !(defined(__x86_64__) && defined(__LP64__))
 #define ICHECK_FIBER_THREADS 1
 #elif defined(__has_feature)
 #if __has_feature(thread_sanitizer)
 #define ICHECK_FIBER_THREADS 1
-#else
-#define ICHECK_FIBER_THREADS 0
 #endif
-#else
+#endif
+#ifndef ICHECK_FIBER_THREADS
 #define ICHECK_FIBER_THREADS 0
 #endif
 
@@ -45,8 +50,6 @@
 #include <semaphore>
 #include <thread>
 #else
-#include <ucontext.h>
-
 #include <memory>
 #endif
 
@@ -54,30 +57,30 @@ namespace icheck::sim
 {
 
 /**
- * The captured execution state of one fiber: its saved machine context
- * plus an image of the live portion of its stack. Machine-affine by
- * construction — the image contains frame and context pointers into the
- * fiber's own stack buffer, so a snapshot is only meaningful restored
- * into the *same* SimFiber object it was taken from (whose stack buffer
- * is never reallocated once created). Only parked fibers can be
- * snapshotted: the scheduler side owns control, so the saved context is
- * complete and stable.
+ * The captured execution state of one fiber: its saved stack pointer plus
+ * an image of the live portion of its stack. That is the whole context,
+ * because a parked fiber's callee-saved registers sit in the image just
+ * above the saved pointer. Machine-affine by construction — the image
+ * contains frame pointers into the fiber's own stack buffer, so a
+ * snapshot is only meaningful restored into the *same* SimFiber object
+ * it was taken from (whose stack buffer is never reallocated once
+ * created). Only parked fibers can be snapshotted: the scheduler side
+ * owns control, so the saved state is complete and stable.
  *
- * The host-thread implementation (TSan builds) cannot capture a stack it
- * does not own; SimFiber::snapshotSupported() reports false there and
- * callers fall back to cold re-execution.
+ * The host-thread implementation cannot capture a stack it does not own;
+ * SimFiber::snapshotSupported() reports false there and callers fall
+ * back to cold re-execution.
  */
 struct FiberSnapshot
 {
     bool started = false;
     bool done = false;
 #if !ICHECK_FIBER_THREADS
-    ucontext_t context{};
     /** Identity of the stack the image belongs to (restore asserts it). */
     const std::uint8_t *stackBase = nullptr;
-    /** Offset of the image's first byte within the stack buffer. */
-    std::size_t imageOffset = 0;
-    /** Live stack bytes: [stackBase+imageOffset, stackBase+stackBytes). */
+    /** The parked fiber's saved stack pointer. */
+    void *sp = nullptr;
+    /** Live stack bytes, ending at the top of the stack buffer. */
     std::vector<std::uint8_t> image;
 #endif
 
@@ -160,15 +163,20 @@ class SimFiber
 
   private:
     std::function<void()> entry;
+    /** Resumed at least once since start() or the last restore. */
+    bool started = false;
     bool done = false;
 
 #if ICHECK_FIBER_THREADS
     std::thread host;
     std::binary_semaphore runSem{0};
     std::binary_semaphore doneSem{0};
+    /** Set by join() on a never-resumed fiber: its thread exits without
+     *  running the body. */
+    bool skipBody = false;
 #else
-    static void trampoline(unsigned hi, unsigned lo);
-    void bodyMain();
+    /** Runs the body on the fiber stack; entered from the start stub. */
+    [[noreturn]] static void trampoline(SimFiber *fiber);
 
     /** Default fiber stack; simulated program bodies are shallow, and
      *  sanitizer redzones inflate frames, so be generous. Allocated
@@ -177,9 +185,10 @@ class SimFiber
     static constexpr std::size_t stackBytes = 1 << 20;
 
     std::unique_ptr<std::uint8_t[]> stack;
-    ucontext_t self{};
-    ucontext_t ret{};
-    bool started = false;
+    /** Saved stack pointer of the parked fiber. */
+    void *fiberSp = nullptr;
+    /** Saved stack pointer of the scheduler side while the fiber runs. */
+    void *schedSp = nullptr;
     /** Scheduler-side stack bounds captured on first entry (ASan). */
     const void *parentStackBottom = nullptr;
     std::size_t parentStackSize = 0;

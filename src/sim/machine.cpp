@@ -343,15 +343,19 @@ Machine::checkpoint()
     snap->heapState = heap.saveState();
 
     snap->coreStates.reserve(cores.size());
+    std::size_t cache_bytes = 0;
     for (const auto &core : cores) {
-        MachineSnapshot::CoreState cs;
-        cs.nativeInstrs = core->nativeInstrs;
-        cs.overheadInstrs = core->overheadInstrs;
-        cs.l1 = core->l1;
-        cs.wb = core->wb;
-        cs.mhm = core->mhm->saveState();
-        cs.currentThread = core->currentThread;
-        snap->coreStates.push_back(std::move(cs));
+        // Copy-constructed: a default-constructed L1Cache would
+        // zero-fill its tag array only to have it overwritten.
+        snap->coreStates.push_back(MachineSnapshot::CoreState{
+            .nativeInstrs = core->nativeInstrs,
+            .overheadInstrs = core->overheadInstrs,
+            .l1 = core->l1,
+            .wb = core->wb,
+            .mhm = core->mhm->saveState(),
+            .currentThread = core->currentThread,
+        });
+        cache_bytes += core->l1.footprintBytes();
     }
 
     snap->threadStates.reserve(threads.size());
@@ -380,12 +384,12 @@ Machine::checkpoint()
     snap->statistics = statistics;
     snap->checkpointIndex = checkpointIndex;
 
-    // Footprint estimate for cache budgeting: fiber images and output
-    // dominate; shared COW pages cost only their map entries until a
-    // write clones them, and the allocator tables are approximated per
-    // block.
+    // Footprint estimate for cache budgeting: fiber images, the L1 tag
+    // arrays and output dominate; shared COW pages cost only their map
+    // entries until a write clones them, and the allocator tables are
+    // approximated per block.
     snap->footprint = sizeof(MachineSnapshot) + fiber_bytes +
-                      snap->outputBytes.capacity() +
+                      cache_bytes + snap->outputBytes.capacity() +
                       mem.mappedPages() * 64 +
                       snap->heapState.blocks.size() * 192;
     return snap;

@@ -227,5 +227,23 @@ TEST(MachineSnapshot, SnapshotReportsFootprint)
         << "footprint must account for owned state beyond the struct";
 }
 
+TEST(MachineSnapshot, FootprintCountsTheCopiedCacheTags)
+{
+    if (!Machine::snapshotSupported())
+        GTEST_SKIP() << "fiber snapshots unavailable in this build";
+
+    // Every snapshot copies each core's L1 tag array (12 KiB per core on
+    // the default geometry); a budget that does not count them holds
+    // far more memory than it says.
+    Session session(racyFactory(), {0, 0, 1}, /*checkpoint_decision=*/2);
+    session.finish();
+    ASSERT_NE(session.snap, nullptr);
+    std::size_t tags = 0;
+    for (CoreId c = 0; c < session.machine.numCores(); ++c)
+        tags += session.machine.core(c).l1.footprintBytes();
+    EXPECT_GE(tags, 2 * std::size_t{12} * 1024);
+    EXPECT_GE(session.snap->bytes(), sizeof(MachineSnapshot) + tags);
+}
+
 } // namespace
 } // namespace icheck::sim
