@@ -6,17 +6,22 @@
  * detector attached — the cost of using this library, as opposed to the
  * modeled target overheads of Figure 6 — plus the two layers every
  * access crosses: the fiber switch the scheduler hands slices over, and
- * the SparseMemory every access ends in, word by word and in bulk.
+ * the SparseMemory every access ends in, word by word and in bulk —
+ * and the explorer's DPOR bookkeeping: copying the slice analysis a
+ * checkpoint holds, closing slices, and one run's branch-ledger claims.
  */
 
 #include <benchmark/benchmark.h>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
 #include "check/checker.hpp"
+#include "explore/dpor.hpp"
 #include "mem/memory.hpp"
 #include "race/race_detector.hpp"
+#include "race/slice_hb.hpp"
 #include "sim/fiber.hpp"
 #include "sim/lambda_program.hpp"
 #include "sim/machine.hpp"
@@ -187,6 +192,139 @@ BM_SparseMemoryBulk(benchmark::State &state)
                             state.iterations());
 }
 
+/**
+ * Feed @p tracker a 4-thread run of @p decisions slices shaped like an
+ * explore prefix: each slice loads and stores one or two of nine
+ * granules, every fifth under the one lock. Returns the choice history.
+ */
+std::vector<std::uint32_t>
+feedDporRun(explore::DporTracker &tracker, std::size_t decisions)
+{
+    constexpr ThreadId kThreads = 4;
+    const std::vector<ThreadId> runnable = {0, 1, 2, 3};
+    const auto granule = [](std::uint64_t g) { return 0x1000 + 8 * g; };
+    tracker.reset(kThreads);
+    for (std::uint64_t g = 0; g < 9; ++g) { // the prelude initializes
+        sim::StoreEvent store;
+        store.tid = kThreads;
+        store.addr = granule(g);
+        tracker.onStore(store);
+    }
+    Xoshiro256 rng(11);
+    std::vector<std::uint32_t> chosen;
+    for (std::size_t d = 0; d < decisions; ++d) {
+        tracker.onDecision(runnable, chosen);
+        const auto pick = static_cast<std::uint32_t>(rng.below(kThreads));
+        chosen.push_back(pick);
+        const ThreadId tid = runnable[pick];
+        const bool locked = d % 5 == 0;
+        if (locked)
+            tracker.onSync({sim::SyncKind::LockAcquire, tid, 0, 0});
+        sim::LoadEvent load;
+        load.tid = tid;
+        load.addr = granule(rng.below(9));
+        tracker.onLoad(load);
+        sim::StoreEvent store;
+        store.tid = tid;
+        store.addr = load.addr;
+        tracker.onStore(store);
+        if (rng.below(2) == 0) {
+            load.addr = granule(rng.below(9));
+            tracker.onLoad(load);
+        }
+        if (locked)
+            tracker.onSync({sim::SyncKind::LockRelease, tid, 0, 0});
+    }
+    tracker.finishRun(chosen);
+    return chosen;
+}
+
+/**
+ * Copy plus destroy of the slice analysis a checkpoint holds: the
+ * tracker after a 50-decision, 4-thread prefix.
+ */
+void
+BM_DporTrackerCopy(benchmark::State &state)
+{
+    explore::DporTracker tracker;
+    feedDporRun(tracker, 50);
+    for (auto _ : state) {
+        explore::DporTracker copy(tracker);
+        benchmark::DoNotOptimize(copy.hb().sliceCount());
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+
+/** SliceHb::closeSlice throughput over 1,000-slice 4-thread runs. */
+void
+BM_SliceHbCloseSlice(benchmark::State &state)
+{
+    struct Access
+    {
+        race::SliceHb::Op op;
+        std::uint64_t object;
+    };
+    constexpr std::size_t kSlices = 1000;
+    Xoshiro256 rng(12);
+    std::vector<std::vector<Access>> script(kSlices);
+    std::vector<ThreadId> tids(kSlices);
+    for (std::size_t i = 0; i < kSlices; ++i) {
+        tids[i] = static_cast<ThreadId>(rng.below(4));
+        for (std::uint64_t k = 1 + rng.below(3); k > 0; --k) {
+            const std::uint64_t g = 0x1000 + 8 * rng.below(64);
+            script[i].push_back({race::SliceHb::Op::Read, g});
+            if (rng.below(2) == 0)
+                script[i].push_back({race::SliceHb::Op::Write, g});
+        }
+    }
+    for (auto _ : state) {
+        race::SliceHb hb(4);
+        hb.closeSlice(4, race::SliceHb::noIndex);
+        for (std::size_t i = 0; i < kSlices; ++i) {
+            for (const Access &access : script[i])
+                hb.record(access.op, access.object);
+            hb.closeSlice(tids[i], i);
+        }
+        benchmark::DoNotOptimize(hb.races().size());
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(kSlices) *
+                            state.iterations());
+}
+
+/**
+ * One run's branch-ledger claims at depth 60: expandDpor of a run whose
+ * prefix is its first 30 decisions, against a ledger that already holds
+ * its claims (the steady state of a search revisiting branch points).
+ */
+void
+BM_BranchLedgerRun(benchmark::State &state)
+{
+    constexpr std::size_t kDepth = 60;
+    explore::DporTracker tracker;
+    const std::vector<std::uint32_t> chosen = feedDporRun(tracker, kDepth);
+    explore::detail::RunObservation obs;
+    obs.fanout.assign(kDepth, 4);
+    obs.path = chosen;
+    obs.prevIdx.assign(kDepth, -1);
+    obs.preemptionsBefore.assign(kDepth + 1, 0);
+    obs.dpor = std::make_shared<const explore::detail::DporRunData>(
+        tracker.takeRunData({}));
+    explore::detail::PendingNode node;
+    node.prefix.assign(chosen.begin(), chosen.begin() + kDepth / 2);
+    const explore::ExploreConfig config;
+    explore::BranchLedger ledger;
+    explore::ExploreStats stats;
+    std::uint64_t emitted = 0;
+    const std::function<void(explore::detail::PendingNode)> emit =
+        [&emitted](explore::detail::PendingNode) { ++emitted; };
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(explore::detail::expandDpor(
+            obs, node, config, ledger, stats, emit));
+    }
+    benchmark::DoNotOptimize(emitted);
+    state.SetItemsProcessed(state.iterations());
+}
+
 } // namespace
 
 BENCHMARK(BM_MachineNative)->Unit(benchmark::kMicrosecond);
@@ -197,3 +335,6 @@ BENCHMARK(BM_MachineRaceDetector)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_FiberSwitch);
 BENCHMARK(BM_SparseMemoryWord);
 BENCHMARK(BM_SparseMemoryBulk)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_DporTrackerCopy);
+BENCHMARK(BM_SliceHbCloseSlice)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_BranchLedgerRun);

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
+#include <span>
+#include <utility>
 
 #include "explore/hb_signature.hpp"
+#include "support/logging.hpp"
 
 namespace icheck::explore
 {
@@ -15,7 +18,7 @@ void
 DporTracker::reset(ThreadId setup_tid)
 {
     setupTid = setup_tid;
-    hbState = race::SliceHb(setup_tid);
+    hbState.reset(setup_tid);
     runnableLists.clear();
     openDecision = noDecision;
     finished = false;
@@ -61,8 +64,8 @@ DporTracker::closeOpenSlice(const std::vector<std::uint32_t> &chosen)
         hbState.closeSlice(setupTid, race::SliceHb::noIndex);
         return;
     }
-    const std::vector<ThreadId> &runnable = runnableLists[openDecision];
-    hbState.closeSlice(runnable[chosen[openDecision]], openDecision);
+    hbState.closeSlice(runnableLists[openDecision][chosen[openDecision]],
+                       openDecision);
 }
 
 void
@@ -74,7 +77,7 @@ DporTracker::onDecision(const std::vector<ThreadId> &runnable,
         // Re-fired at the same decision after a checkpoint restore: the
         // slice boundary was already processed when the checkpoint was
         // taken; just refresh the runnable list.
-        runnableLists[decision] = runnable;
+        runnableLists.replaceLast(runnable);
         return;
     }
     closeOpenSlice(chosen);
@@ -128,7 +131,7 @@ SleepEval::advance(const race::SliceHb &hb)
                 continue;
             const detail::SleepEntry &entry = (*entries)[i];
             if (hb.sliceTid(nextSlice) == entry.tid ||
-                race::footprintsConflict(hb.sliceFootprint(nextSlice),
+                race::footprintsConflict(hb.sliceFootprintView(nextSlice),
                                          entry.next))
                 wake[i] = d;
         }
@@ -151,27 +154,57 @@ SleepEval::foldActive(std::uint64_t sig) const
 // ---------------------------------------------------------------------------
 // BranchLedger
 
+BranchLedger::NodeId
+BranchLedger::childOf(NodeId at, std::uint32_t choice)
+{
+    for (NodeId c = nodes[at].firstChild; c != 0; c = nodes[c].nextSibling) {
+        if (nodes[c].choice == choice)
+            return c;
+    }
+    ICHECK_ASSERT(nodes.size() < ~NodeId{0}, "branch ledger is full");
+    const NodeId fresh = static_cast<NodeId>(nodes.size());
+    Node node;
+    node.choice = choice;
+    node.nextSibling = nodes[at].firstChild;
+    nodes.push_back(node);
+    nodes[at].firstChild = fresh;
+    return fresh;
+}
+
 bool
 BranchLedger::claim(const std::uint32_t *path, std::size_t len,
                     std::uint32_t choice)
 {
-    std::uint64_t hash = 0xb7a9c4ULL;
-    for (std::size_t i = 0; i < len; ++i)
-        hash = mixSignature(hash, path[i] + 1);
+    std::lock_guard<std::mutex> lock(mu);
+    NodeId at = 0;
+    for (std::size_t d = 0; d < len; ++d)
+        at = childOf(at, path[d]);
+    Node &child = nodes[childOf(at, choice)];
+    return !std::exchange(child.claimed, true);
+}
 
-    Shard &shard = shards[hash % numShards];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    std::vector<Node> &chain = shard.chains[hash];
-    for (Node &node : chain) {
-        if (node.prefix.size() == len &&
-            std::equal(node.prefix.begin(), node.prefix.end(), path))
-            return node.children.insert(choice).second;
+void
+BranchLedger::walk(const std::uint32_t *path, std::size_t len,
+                   std::size_t from, std::vector<NodeId> &trail)
+{
+    trail.resize(len + 1);
+    std::lock_guard<std::mutex> lock(mu);
+    NodeId at = 0;
+    trail[0] = at;
+    for (std::size_t d = 0; d < len; ++d) {
+        at = childOf(at, path[d]);
+        if (d >= from)
+            nodes[at].claimed = true;
+        trail[d + 1] = at;
     }
-    Node node;
-    node.prefix.assign(path, path + len);
-    node.children.insert(choice);
-    chain.push_back(std::move(node));
-    return true;
+}
+
+bool
+BranchLedger::claimChild(NodeId at, std::uint32_t choice)
+{
+    std::lock_guard<std::mutex> lock(mu);
+    Node &child = nodes[childOf(at, choice)];
+    return !std::exchange(child.claimed, true);
 }
 
 // ---------------------------------------------------------------------------
@@ -199,11 +232,14 @@ expandDpor(const RunObservation &obs, const PendingNode &node,
 
     // Register this run's executed children first: any concurrent run
     // proposing one of them finds it claimed, giving exactly-once
-    // emission of every prefix across the whole search.
-    for (std::size_t d = 0; d < limit; ++d) {
-        if (obs.fanout[d] > 1)
-            ledger.claim(path.data(), d, path[d]);
-    }
+    // emission of every prefix across the whole search. Only decisions
+    // at or past the prefix need claiming: the parent run already claimed
+    // every earlier one (a replayed prefix has the parent's fanout), and
+    // the branch choice at prefixSize - 1 was claimed when this node was
+    // emitted. The walk also marks forced moves (fanout 1) claimed;
+    // nothing ever proposes those.
+    std::vector<BranchLedger::NodeId> trail;
+    ledger.walk(path.data(), limit, prefixSize, trail);
 
     ExpandCounts counts;
     std::uint64_t emittedDeep = 0;
@@ -216,7 +252,7 @@ expandDpor(const RunObservation &obs, const PendingNode &node,
         if (e == race::SliceHb::noIndex || e >= limit || obs.fanout[e] <= 1)
             continue;
         const ThreadId target = data.hb.sliceTid(race.later);
-        const std::vector<ThreadId> &runnable = data.runnables[e];
+        const std::span<const ThreadId> runnable = data.runnables[e];
 
         // Propose the racing thread if it was runnable at e; otherwise
         // fall back to all runnable threads (one of them enables it —
@@ -263,7 +299,7 @@ expandDpor(const RunObservation &obs, const PendingNode &node,
                 }
             }
 
-            if (!ledger.claim(path.data(), e, c))
+            if (!ledger.claimChild(trail[e], c))
                 continue;
 
             PendingNode child;

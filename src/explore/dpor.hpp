@@ -19,11 +19,11 @@
  * scripted prefix, runs may execute on any worker in any order):
  *
  *  - BranchLedger replaces the DFS stack's backtrack sets: a shared,
- *    sharded, exact (hash + full-prefix compare) registry of which
- *    children of which branch points were ever scheduled. The explored
- *    set is the least fixpoint of "run the root; emit every
- *    race-justified unclaimed child of every run" — order-independent,
- *    so coverage is identical at any --jobs.
+ *    exact trie over schedule decisions recording which children of
+ *    which branch points were ever scheduled. The explored set is the
+ *    least fixpoint of "run the root; emit every race-justified
+ *    unclaimed child of every run" — order-independent, so coverage is
+ *    identical at any --jobs.
  *  - Sleep sets ride on the frontier nodes: when a child is emitted at
  *    branch decision b, the thread the parent ran at b goes to sleep
  *    (its subtree from b is covered by the parent's own continuation),
@@ -39,12 +39,9 @@
  *    every sibling emitted there restores with zero replayed decisions.
  */
 
-#include <array>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <mutex>
-#include <set>
 #include <vector>
 
 #include "explore/explorer.hpp"
@@ -100,12 +97,6 @@ class DporTracker : public sim::AccessListener
 
     const race::SliceHb &hb() const { return hbState; }
 
-    const std::vector<std::vector<ThreadId>> &
-    runnables() const
-    {
-        return runnableLists;
-    }
-
     /**
      * Move this run's observations out (pairing them with @p wake_at
      * from the run's SleepEval). The tracker must be reset() or
@@ -117,7 +108,7 @@ class DporTracker : public sim::AccessListener
     void closeOpenSlice(const std::vector<std::uint32_t> &chosen);
 
     race::SliceHb hbState;
-    std::vector<std::vector<ThreadId>> runnableLists;
+    detail::RunnableLists runnableLists;
     /** Decision index of the open slice; noDecision = the prelude. */
     std::size_t openDecision = noDecision;
     bool finished = false;
@@ -155,13 +146,18 @@ class SleepEval
 
 /**
  * Shared registry of scheduled branch-point children: the prefix-frontier
- * replacement for DFS backtrack sets. claim() is exact — hash plus full
- * prefix compare — because a false "already claimed" would silently drop
- * coverage. Sharded mutexes; safe from any worker.
+ * replacement for DFS backtrack sets. An exact trie over schedule
+ * decisions — a node per schedule prefix, an edge per choice — kept in
+ * one array under one mutex; a node is *claimed* once its prefix was
+ * scheduled as a child of its parent. Exactness matters: a false
+ * "already claimed" would silently drop coverage. Safe from any worker.
  */
 class BranchLedger
 {
   public:
+    /** A trie node: the schedule prefix a walk reached. */
+    using NodeId = std::uint32_t;
+
     /**
      * Claim child @p choice of the branch point reached by
      * @p path[0..len). True if this (prefix, choice) pair was new.
@@ -169,23 +165,31 @@ class BranchLedger
     bool claim(const std::uint32_t *path, std::size_t len,
                std::uint32_t choice);
 
-  private:
-    static constexpr std::size_t numShards = 16;
+    /**
+     * Walk @p path[0..len) once: claim the child taken at every decision
+     * at or past @p from, and set @p trail[d] to the node of prefix
+     * @p path[0..d) for every d <= len.
+     */
+    void walk(const std::uint32_t *path, std::size_t len, std::size_t from,
+              std::vector<NodeId> &trail);
 
+    /** Claim child @p choice of node @p at. True if it was new. */
+    bool claimChild(NodeId at, std::uint32_t choice);
+
+  private:
     struct Node
     {
-        std::vector<std::uint32_t> prefix;
-        std::set<std::uint32_t> children;
+        std::uint32_t choice = 0;
+        NodeId firstChild = 0; ///< 0 = none: the root is nobody's child.
+        NodeId nextSibling = 0;
+        bool claimed = false;
     };
 
-    struct Shard
-    {
-        std::mutex mu;
-        /** Ordered map (lint rule D1); hash collisions chain. */
-        std::map<std::uint64_t, std::vector<Node>> chains;
-    };
+    /** Child @p choice of @p at, created unclaimed if absent; mu held. */
+    NodeId childOf(NodeId at, std::uint32_t choice);
 
-    std::array<Shard, numShards> shards;
+    std::mutex mu;
+    std::vector<Node> nodes = std::vector<Node>(1); ///< [0]: the empty prefix.
 };
 
 namespace detail

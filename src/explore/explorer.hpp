@@ -44,6 +44,7 @@
 #include <functional>
 #include <memory>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "check/driver.hpp"
@@ -231,14 +232,59 @@ struct PendingNode
     SleepSet sleep; ///< Empty unless ExploreConfig::dpor.
 };
 
+/**
+ * The runnable thread list of every decision of a run, flattened into one
+ * tid array plus per-decision end offsets, so a copy is two array copies.
+ */
+class RunnableLists
+{
+  public:
+    /** Runnable threads at decision @p d (ascending tid order). */
+    std::span<const ThreadId>
+    operator[](std::size_t d) const
+    {
+        const std::size_t begin = d == 0 ? 0 : ends[d - 1];
+        return std::span<const ThreadId>(tids).subspan(begin,
+                                                       ends[d] - begin);
+    }
+
+    /** Append the next decision's list. */
+    void
+    push_back(const std::vector<ThreadId> &list)
+    {
+        tids.insert(tids.end(), list.begin(), list.end());
+        ends.push_back(tids.size());
+    }
+
+    /** Replace the newest decision's list (size() > 0). */
+    void
+    replaceLast(const std::vector<ThreadId> &list)
+    {
+        ends.pop_back();
+        tids.resize(ends.empty() ? 0 : ends.back());
+        push_back(list);
+    }
+
+    void
+    clear()
+    {
+        tids.clear();
+        ends.clear();
+    }
+
+  private:
+    std::vector<ThreadId> tids;
+    std::vector<std::size_t> ends;
+};
+
 /** Per-run DPOR observations (attached to RunObservation when on). */
 struct DporRunData
 {
     /** Slice conflict/order analysis of the whole run. */
     race::SliceHb hb;
 
-    /** Runnable thread list at each decision (ascending tid order). */
-    std::vector<std::vector<ThreadId>> runnables;
+    /** Runnable thread list at each decision. */
+    RunnableLists runnables;
 
     /**
      * Per input sleep entry: decision index of the first slice at or

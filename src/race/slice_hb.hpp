@@ -17,8 +17,8 @@
  *
  * This analyzer is FastTrack-shaped but at slice granularity: one vector
  * clock per thread counting completed slices, per-granule last-write
- * epochs plus read maps, and per-object clocks for mutexes, condition
- * variables, and barriers. Two deliberate differences from the
+ * epochs plus per-thread read epochs, and per-object clocks for mutexes,
+ * condition variables, and barriers. Two deliberate differences from the
  * exploration HbTracker:
  *
  *  - read-read is *not* a dependency (two reads commute, so ordering
@@ -30,16 +30,18 @@
  *
  * The analyzer is a plain value: copyable and assignable, so the
  * prefix-sharing explorer checkpoints it alongside a machine snapshot
- * and rewinds both together.
+ * and rewinds both together. Its state is flat so that copy is cheap:
+ * slices are plain rows over one shared footprint array, and granule,
+ * mutex, condition-variable and barrier-epoch state lives in
+ * open-addressing tables of fixed-width rows holding one clock word (and,
+ * for granules, one reader slot) per thread. A copy is a handful of
+ * array copies, whatever the number of slices or objects.
  */
 
 #include <cstdint>
-#include <map>
-#include <set>
-#include <utility>
+#include <span>
 #include <vector>
 
-#include "race/vector_clock.hpp"
 #include "support/types.hpp"
 
 namespace icheck::race
@@ -63,13 +65,16 @@ struct SliceRef
 /** A slice's deduplicated access set, sorted by object. */
 using SliceFootprint = std::vector<SliceRef>;
 
+/** A footprint viewed in place (owned by a SliceFootprint or an analyzer). */
+using FootprintView = std::span<const SliceRef>;
+
 /**
  * Whether two footprints conflict: they share an object and at least one
  * side writes it. Disjoint slices commute — executing them in either
  * order yields identical per-access behaviour — which is the soundness
  * basis of both race-driven backtracking and sleep sets.
  */
-bool footprintsConflict(const SliceFootprint &a, const SliceFootprint &b);
+bool footprintsConflict(FootprintView a, FootprintView b);
 
 /** Namespaced object keys: data granules share the address space. */
 inline std::uint64_t
@@ -133,12 +138,21 @@ class SliceHb
     /**
      * @param setup_tid Pseudo-thread the prelude slice is attributed to;
      *                  pass the program's thread count so it collides
-     *                  with no real thread id.
+     *                  with no real thread id. Clocks get one slot per
+     *                  thread 0..setup_tid, and widen if a slice of a
+     *                  higher thread id closes.
      */
-    explicit SliceHb(ThreadId setup_tid = 0) : setupTid(setup_tid) {}
+    explicit SliceHb(ThreadId setup_tid = 0) { reset(setup_tid); }
+
+    /** Start over as SliceHb(@p setup_tid), keeping allocated capacity. */
+    void reset(ThreadId setup_tid);
 
     /** Record one operation into the open slice. */
-    void record(Op op, std::uint64_t object, std::uint64_t epoch = 0);
+    void
+    record(Op op, std::uint64_t object, std::uint64_t epoch = 0)
+    {
+        pending.push_back({op, object, epoch});
+    }
 
     /**
      * Close the open slice: attribute it to @p tid at scheduling decision
@@ -159,10 +173,19 @@ class SliceHb
     {
         return slices[i].decision;
     }
-    const SliceFootprint &
+    /** Slice @p i's footprint in place; valid until the next closeSlice(). */
+    FootprintView
+    sliceFootprintView(std::size_t i) const
+    {
+        return FootprintView(footprints).subspan(
+            slices[i].footBegin, slices[i].footEnd - slices[i].footBegin);
+    }
+    /** An owning copy of slice @p i's footprint. */
+    SliceFootprint
     sliceFootprint(std::size_t i) const
     {
-        return slices[i].footprint;
+        const FootprintView view = sliceFootprintView(i);
+        return SliceFootprint(view.begin(), view.end());
     }
     /// @}
 
@@ -177,50 +200,88 @@ class SliceHb
         std::uint64_t epoch;
     };
 
-    struct SliceInfo
+    /** One closed slice: a plain row over the shared footprint array. */
+    struct SliceRow
     {
-        ThreadId tid = 0;
         std::size_t decision = noIndex;
-        SliceFootprint footprint;
+        /**
+         * The later slice this one was last reported racing with. Every
+         * race noted while closing slice L has later == L, so this one
+         * word per slice deduplicates the race list.
+         */
+        std::size_t racedWith = noIndex;
+        std::size_t footBegin = 0; ///< Footprint: footprints[begin, end).
+        std::size_t footEnd = 0;
+        ThreadId tid = 0;
     };
 
-    /** Per-granule conflict state: last write plus reads since it. */
-    struct GranuleState
+    /**
+     * Open-addressing map from an (object, epoch) key to a row of words:
+     * a header (the key, then the last access's (tid, clock) epoch and
+     * slice; clock 0 = none yet) followed by `sections` arrays of one
+     * word per clock slot. A power-of-two index of row numbers sits over
+     * the dense, insertion-ordered row array; nothing iterates the index,
+     * so results never depend on its order.
+     */
+    class RowTable
     {
-        VectorClock writeClock; ///< HB closure at the last write.
-        Epoch write;            ///< Last write's (tid, slice) epoch.
-        std::size_t writeSlice = noIndex;
-        /** Reads since the last write: tid -> (local epoch, slice). */
-        std::map<ThreadId, std::pair<std::uint64_t, std::size_t>> readers;
+      public:
+        /// @name Header word offsets.
+        /// @{
+        static constexpr std::size_t kTid = 2;
+        static constexpr std::size_t kClock = 3;
+        static constexpr std::size_t kSlice = 4;
+        static constexpr std::size_t kHeader = 5;
+        /// @}
+
+        explicit RowTable(std::size_t sections) : sectionCount(sections) {}
+
+        /**
+         * Row of (@p object, @p epoch), appended zeroed if absent. The
+         * pointer is valid until the next row() or widen().
+         */
+        std::uint64_t *row(std::uint64_t object, std::uint64_t epoch);
+
+        /** Drop every row; rows get @p width slots per section. */
+        void clear(std::size_t width);
+
+        /** Re-lay every row from @p from to @p to slots per section. */
+        void widen(std::size_t from, std::size_t to);
+
+      private:
+        void rebuildIndex(std::size_t slots);
+
+        std::size_t sectionCount;
+        std::size_t stride = kHeader;
+        std::vector<std::uint32_t> index; ///< Row number + 1; 0 = empty.
+        std::vector<std::uint64_t> rows;
     };
 
-    /** Per-mutex/cond state: published clock plus the last operation. */
-    struct ObjectState
-    {
-        VectorClock clock;
-        Epoch last;
-        std::size_t lastSlice = noIndex;
-    };
-
-    VectorClock &clockOf(ThreadId tid);
+    /** Thread @p tid's clock (width words), joined to the base on first use. */
+    std::uint64_t *clockOf(ThreadId tid);
+    void widen(std::size_t to);
     void noteRace(std::size_t earlier, std::size_t later);
+    /** Append the open slice's footprint: sorted by object, writes OR-ed. */
+    void appendFootprint();
 
-    ThreadId setupTid = 0;
+    std::size_t width = 1; ///< Clock slots: every thread id is below it.
     std::vector<PendingOp> pending;
-    std::vector<SliceInfo> slices;
+    std::vector<SliceRow> slices;
+    std::vector<SliceRef> footprints; ///< Every slice's footprint in turn.
     std::vector<Race> raceList;
-    std::set<std::pair<std::size_t, std::size_t>> raceSeen;
 
-    std::vector<VectorClock> clocks;
-    std::vector<bool> clockInited;
-    /** Clock published by the prelude; thread clocks start from it. */
-    VectorClock baseClock;
+    /**
+     * width + 1 clocks of width words: thread t's at row t, then the
+     * clock the prelude published, which thread clocks start from.
+     */
+    std::vector<std::uint64_t> clocks;
+    std::vector<std::uint8_t> clockInited; ///< Per thread: joined the base.
 
-    std::map<std::uint64_t, GranuleState> granules;
-    std::map<std::uint64_t, ObjectState> mutexes;
-    std::map<std::uint64_t, ObjectState> conds;
-    std::map<std::pair<std::uint64_t, std::uint64_t>, VectorClock>
-        barrierGather;
+    /** Sections: write clock, reader epochs (0 = none), reader slices. */
+    RowTable granules{3};
+    RowTable mutexes{1};  ///< Section: the clock the last release published.
+    RowTable conds{1};    ///< Section: the clock signals published.
+    RowTable barriers{1}; ///< Keyed (barrier, epoch); section: the gather.
 };
 
 } // namespace icheck::race

@@ -3,9 +3,9 @@
 # icheck-lint when they are given, must reject a malformed or out-of-range
 # value with exit 2 (usage error) and an error on stderr that names the
 # flag; so must the removed icheck event-transport flag and loadgen's
-# removed --baseline, and a race log whose "line" field is not a line
-# number. No value here is valid, so no command gets as far as running a
-# campaign, a daemon or a lint pass.
+# removed --baseline, an app name icheck does not know, and a race log
+# whose "line" field is not a line number. No value here is valid, so no
+# command gets as far as running a campaign, a daemon or a lint pass.
 #
 #   numeric_flags.sh path/to/icheck [path/to/loadgen [path/to/icheck-lint]]
 set -u
@@ -74,6 +74,13 @@ expect_usage_error --jobs serve --jobs 257
 # The removed event-transport flag is an unknown argument now.
 expect_usage_error --transport check radix --transport off
 expect_usage_error --transport explore radix --transport
+
+# An app name the registry does not know is a usage error, named on
+# stderr; so is a flag where the app name belongs.
+for command in check characterize explore localize stats infer; do
+    expect_usage_error "unknown app 'nosuchapp'" "${command}" nosuchapp
+done
+expect_usage_error "unknown app '--help'" explore --help
 
 # loadgen forwards --jobs and --dispatchers to `icheck serve`, so they
 # take serve's bounds; --runs is at least 2 as for check, and --clients

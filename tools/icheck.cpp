@@ -222,9 +222,8 @@ seededFactory(const std::string &app, apps::BugSeed bug)
 }
 
 int
-cmdCheck(const std::string &app_name, Args &args)
+cmdCheck(const apps::AppInfo &app, Args &args)
 {
-    const apps::AppInfo &app = apps::findApp(app_name);
     check::DriverConfig cfg;
     cfg.runs = args.count("--runs", 30, 2);
     cfg.scheme = parseScheme(
@@ -334,9 +333,8 @@ cmdCheck(const std::string &app_name, Args &args)
 }
 
 int
-cmdCharacterize(const std::string &app_name, Args &args)
+cmdCharacterize(const apps::AppInfo &app, Args &args)
 {
-    const apps::AppInfo &app = apps::findApp(app_name);
     apps::CharacterizeConfig cfg;
     cfg.runs = args.count("--runs", 30, 2);
     cfg.jobs = args.count("--jobs", 0, 0, kMaxJobs);
@@ -407,9 +405,8 @@ parsePrune(const std::string &spec, explore::ExploreConfig &cfg)
 }
 
 int
-cmdExplore(const std::string &app_name, Args &args)
+cmdExplore(const apps::AppInfo &app, Args &args)
 {
-    const apps::AppInfo &app = apps::findApp(app_name);
     explore::ExploreConfig cfg;
     cfg.maxRuns = args.count("--runs", 200, 1);
     cfg.quantum = args.number("--quantum", 16, 1, kU64Max);
@@ -452,9 +449,8 @@ cmdExplore(const std::string &app_name, Args &args)
 }
 
 int
-cmdInfer(const std::string &app_name, Args &args)
+cmdInfer(const apps::AppInfo &app, Args &args)
 {
-    const apps::AppInfo &app = apps::findApp(app_name);
     const int runs = args.count("--runs", 8, 2);
     sim::MachineConfig mc;
     mc.numCores = 8;
@@ -487,9 +483,8 @@ cmdInfer(const std::string &app_name, Args &args)
 }
 
 int
-cmdStats(const std::string &app_name, Args &args)
+cmdStats(const apps::AppInfo &app, Args &args)
 {
-    const apps::AppInfo &app = apps::findApp(app_name);
     const std::uint64_t seed = args.number("--seed", 1000, 0, kU64Max);
     const apps::InputScale scale =
         parseScale(args.value("--input").value_or("medium"));
@@ -553,9 +548,8 @@ cmdVerify(Args &args)
 }
 
 int
-cmdLocalize(const std::string &app_name, Args &args)
+cmdLocalize(const apps::AppInfo &app, Args &args)
 {
-    const apps::AppInfo &app = apps::findApp(app_name);
     const std::uint64_t checkpoint =
         args.number("--checkpoint", 0, 0, kU64Max);
     const std::uint64_t seed_a = args.number("--seed-a", 1000, 0, kU64Max);
@@ -709,23 +703,30 @@ dispatch(int argc, char **argv)
         Args args(argc, argv, 2, "icheck");
         return cmdRoute(args);
     }
-    if (argc < 3)
-        return usage();
-    const std::string app_name = argv[2];
-    Args args(argc, argv, 3, "icheck");
+    using AppCommand = int (*)(const apps::AppInfo &, Args &);
+    AppCommand run = nullptr;
     if (command == "check")
-        return cmdCheck(app_name, args);
-    if (command == "characterize")
-        return cmdCharacterize(app_name, args);
-    if (command == "explore")
-        return cmdExplore(app_name, args);
-    if (command == "localize")
-        return cmdLocalize(app_name, args);
-    if (command == "stats")
-        return cmdStats(app_name, args);
-    if (command == "infer")
-        return cmdInfer(app_name, args);
-    return usage();
+        run = cmdCheck;
+    else if (command == "characterize")
+        run = cmdCharacterize;
+    else if (command == "explore")
+        run = cmdExplore;
+    else if (command == "localize")
+        run = cmdLocalize;
+    else if (command == "stats")
+        run = cmdStats;
+    else if (command == "infer")
+        run = cmdInfer;
+    if (run == nullptr || argc < 3)
+        return usage();
+    const apps::AppInfo *app = apps::tryFindApp(argv[2]);
+    if (app == nullptr) {
+        std::fprintf(stderr, "icheck: unknown app '%s' (see `icheck list`)\n",
+                     argv[2]);
+        return ExitUsage;
+    }
+    Args args(argc, argv, 3, "icheck");
+    return run(*app, args);
 }
 
 } // namespace
