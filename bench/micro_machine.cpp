@@ -7,8 +7,9 @@
  * modeled target overheads of Figure 6 — plus the two layers every
  * access crosses: the fiber switch the scheduler hands slices over, and
  * the SparseMemory every access ends in, word by word and in bulk —
- * and the explorer's DPOR bookkeeping: copying the slice analysis a
- * checkpoint holds, closing slices, and one run's branch-ledger claims.
+ * and the explorer's layers: a machine checkpoint and a restore,
+ * copying the slice analysis a checkpoint holds, closing slices, and one
+ * run's branch-ledger claims.
  */
 
 #include <benchmark/benchmark.h>
@@ -25,6 +26,7 @@
 #include "sim/fiber.hpp"
 #include "sim/lambda_program.hpp"
 #include "sim/machine.hpp"
+#include "sim/sched.hpp"
 #include "support/rng.hpp"
 
 using namespace icheck;
@@ -193,6 +195,70 @@ BM_SparseMemoryBulk(benchmark::State &state)
 }
 
 /**
+ * A machine paused mid-run on the barrier kernel: run once with a
+ * checkpoint taken at decision 64 (of about 140, quantum 16), then
+ * restored, so the machine sits at that decision between finishRun()
+ * calls with four live fiber stacks, as the explorer's engine does.
+ */
+struct PausedMachine
+{
+    PausedMachine()
+    {
+        sim::MachineConfig cfg;
+        cfg.numCores = 4;
+        machine = std::make_unique<sim::Machine>(cfg);
+        program = kernel(std::make_shared<sim::BarrierId>());
+        machine->setScheduler(std::make_unique<sim::ScriptedScheduler>(
+            std::vector<std::uint32_t>{}, 16, false));
+        std::size_t decisions = 0;
+        machine->setDecisionHandler([&](const std::vector<ThreadId> &) {
+            if (++decisions == 64)
+                snap = machine->checkpoint();
+        });
+        machine->run(*program);
+        machine->setDecisionHandler(nullptr);
+        machine->restore(*snap);
+    }
+
+    std::unique_ptr<sim::LambdaProgram> program;
+    std::unique_ptr<sim::Machine> machine;
+    std::shared_ptr<const sim::MachineSnapshot> snap;
+};
+
+/** Machine::checkpoint plus the release of the snapshot it returns. */
+void
+BM_MachineCheckpoint(benchmark::State &state)
+{
+    if (!sim::Machine::snapshotSupported()) {
+        state.SkipWithError("no fiber snapshots in this build");
+        return;
+    }
+    PausedMachine paused;
+    for (auto _ : state) {
+        std::shared_ptr<const sim::MachineSnapshot> taken =
+            paused.machine->checkpoint();
+        benchmark::DoNotOptimize(taken.get());
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+
+/** Machine::restore of the mid-run snapshot. */
+void
+BM_MachineRestore(benchmark::State &state)
+{
+    if (!sim::Machine::snapshotSupported()) {
+        state.SkipWithError("no fiber snapshots in this build");
+        return;
+    }
+    PausedMachine paused;
+    for (auto _ : state) {
+        paused.machine->restore(*paused.snap);
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+
+/**
  * Feed @p tracker a 4-thread run of @p decisions slices shaped like an
  * explore prefix: each slice loads and stores one or two of nine
  * granules, every fifth under the one lock. Returns the choice history.
@@ -335,6 +401,8 @@ BENCHMARK(BM_MachineRaceDetector)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_FiberSwitch);
 BENCHMARK(BM_SparseMemoryWord);
 BENCHMARK(BM_SparseMemoryBulk)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_MachineCheckpoint);
+BENCHMARK(BM_MachineRestore);
 BENCHMARK(BM_DporTrackerCopy);
 BENCHMARK(BM_SliceHbCloseSlice)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_BranchLedgerRun);

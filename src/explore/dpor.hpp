@@ -34,9 +34,10 @@
  *    sleep set can also be folded into the pruning signature — the
  *    known-unsound sleep-set x state-caching interaction is avoided by
  *    distinguishing states whose sleep sets differ.
- *  - Checkpoint keying: under DPOR the prefix engine forces a snapshot
- *    at each emitted child's branch decision (prefix length - 1), so
- *    every sibling emitted there restores with zero replayed decisions.
+ *  - Checkpoint placement: under DPOR a run checkpoints only at its own
+ *    branch decision (prefix length - 1), and the children it emits
+ *    lease that checkpoint or an ancestor's, so every sibling emitted
+ *    at the branch restores with zero replayed decisions.
  */
 
 #include <cstdint>

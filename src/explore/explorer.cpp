@@ -1,17 +1,17 @@
 #include "explore/explorer.hpp"
 
 #include <algorithm>
-#include <array>
 #include <condition_variable>
 #include <cstdio>
+#include <deque>
 #include <exception>
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <unordered_set>
+#include <utility>
 
 #include "explore/dpor.hpp"
-#include "explore/snapshot_tree.hpp"
+#include "explore/prefix_engine.hpp"
 #include "support/logging.hpp"
 
 namespace icheck::explore
@@ -104,43 +104,95 @@ expandBranches(const RunObservation &obs, std::size_t prefix_size,
     return counts;
 }
 
+namespace
+{
+
+/** The slot of @p slots that holds @p sig, or the empty one where its
+ *  linear probe ends. */
+std::uint64_t &
+probeSlot(std::vector<std::uint64_t> &slots, std::uint64_t sig)
+{
+    const std::size_t mask = slots.size() - 1;
+    std::size_t i = (sig / SignatureSet::numShards) & mask;
+    while (slots[i] != sig && slots[i] != 0)
+        i = (i + 1) & mask;
+    return slots[i];
+}
+
+} // namespace
+
+bool
+SignatureSet::insert(std::uint64_t sig)
+{
+    Shard &shard = shards[sig % numShards];
+    std::lock_guard<std::mutex> lock(shard.mu);
+    if (sig == 0)
+        return !std::exchange(shard.hasZero, true);
+    if ((shard.used + 1) * 4 > shard.slots.size() * 3) {
+        std::vector<std::uint64_t> old(
+            std::max<std::size_t>(16, 2 * shard.slots.size()), 0);
+        old.swap(shard.slots);
+        for (const std::uint64_t held : old) {
+            if (held != 0)
+                probeSlot(shard.slots, held) = held;
+        }
+    }
+    std::uint64_t &slot = probeSlot(shard.slots, sig);
+    if (slot == sig)
+        return false;
+    slot = sig;
+    ++shard.used;
+    return true;
+}
+
 } // namespace detail
 
 namespace
 {
 
 /**
- * Shard-locked signature set: a state reached by any worker immediately
- * prunes every worker's branches, without a single hot lock. Signatures
- * are already avalanche-mixed by the explorer, so the low bits pick the
- * shard uniformly.
+ * The frontier plus the merged result, all under one lock: one LIFO
+ * stack per worker, which pushes the children of its runs on its own
+ * stack (their leases are its machine's) and pops from it first; an idle
+ * worker steals the oldest node of another's. One worker keeps one stack,
+ * so its search order is the plain LIFO order.
  */
-class ShardedSignatureSet
-{
-  public:
-    bool
-    insert(std::uint64_t sig)
-    {
-        Shard &shard = shards[sig % shards.size()];
-        std::lock_guard<std::mutex> lock(shard.mu);
-        return shard.seen.insert(sig).second;
-    }
-
-  private:
-    struct Shard
-    {
-        std::mutex mu;
-        std::unordered_set<std::uint64_t> seen;
-    };
-    std::array<Shard, 64> shards;
-};
-
-/** Shared LIFO frontier plus the merged result, all under one lock. */
 struct Frontier
 {
+    explicit Frontier(int jobs) : stacks(static_cast<std::size_t>(jobs)) {}
+
+    /** Take @p worker's next node into @p node; false if none is left. */
+    bool
+    take(std::size_t worker, detail::PendingNode &node)
+    {
+        std::deque<detail::PendingNode> &mine = stacks[worker];
+        if (!mine.empty()) {
+            node = std::move(mine.back());
+            mine.pop_back();
+            return true;
+        }
+        for (std::size_t k = 1; k < stacks.size(); ++k) {
+            std::deque<detail::PendingNode> &victim =
+                stacks[(worker + k) % stacks.size()];
+            if (!victim.empty()) {
+                node = std::move(victim.front());
+                victim.pop_front();
+                return true;
+            }
+        }
+        return false;
+    }
+
+    bool
+    empty() const
+    {
+        return std::all_of(stacks.begin(), stacks.end(),
+                           [](const auto &stack) { return stack.empty(); });
+    }
+
     std::mutex mu;
     std::condition_variable cv;
-    std::vector<detail::PendingNode> pending;
+    std::vector<std::deque<detail::PendingNode>> stacks;
     int inFlight = 0;
     int claimed = 0; ///< Runs handed to workers (capped at maxRuns).
     bool done = false;
@@ -149,10 +201,10 @@ struct Frontier
 };
 
 void
-workerLoop(Frontier &frontier, ShardedSignatureSet &seen,
+workerLoop(Frontier &frontier, detail::SignatureSet &seen,
            const check::ProgramFactory &factory,
            const sim::MachineConfig &machine_template,
-           const ExploreConfig &config, CheckpointTree *tree,
+           const ExploreConfig &config, detail::CheckpointBudget *budget,
            BranchLedger *ledger, std::size_t worker_id)
 {
     ExploreStats local;
@@ -167,13 +219,13 @@ workerLoop(Frontier &frontier, ShardedSignatureSet &seen,
             return fresh;
         };
 
-    // With a checkpoint tree, this worker drives a persistent machine
-    // whose snapshots it shares (keyed by worker id: snapshots are
-    // machine-affine, so workers never restore each other's).
+    // Warm, this worker drives a persistent machine whose checkpoints
+    // the children it emits lease (tagged with the worker id: snapshots
+    // are machine-affine, so workers never restore each other's).
     std::unique_ptr<PrefixEngine> engine;
-    if (tree != nullptr) {
+    if (budget != nullptr) {
         engine = std::make_unique<PrefixEngine>(factory, machine_template,
-                                                config, *tree, worker_id);
+                                                config, *budget, worker_id);
     }
 
     // Called with frontier.mu held, on every exit path.
@@ -200,9 +252,7 @@ workerLoop(Frontier &frontier, ShardedSignatureSet &seen,
                     frontier.cv.notify_all();
                     return;
                 }
-                if (!frontier.pending.empty()) {
-                    node = std::move(frontier.pending.back());
-                    frontier.pending.pop_back();
+                if (frontier.take(worker_id, node)) {
                     ++frontier.inFlight;
                     run_ordinal = frontier.claimed;
                     ++frontier.claimed;
@@ -226,7 +276,7 @@ workerLoop(Frontier &frontier, ShardedSignatureSet &seen,
                 std::to_string(node.prefix.size()) + ")");
         }
         const detail::RunObservation obs =
-            engine ? engine->runOnce(node.prefix, insert_sig, &node.sleep)
+            engine ? engine->runOnce(node, insert_sig)
                    : detail::runOnce(factory, machine_template, config,
                                      node.prefix, insert_sig, &node.sleep,
                                      trace.get());
@@ -237,7 +287,9 @@ workerLoop(Frontier &frontier, ShardedSignatureSet &seen,
             local.decisionsExecuted += obs.fanout.size();
         }
         std::vector<detail::PendingNode> children;
-        const auto emit = [&children](detail::PendingNode child) {
+        const auto emit = [&children, &engine](detail::PendingNode child) {
+            if (engine)
+                child.lease = engine->leaseAt(child.prefix.size() - 1);
             children.push_back(std::move(child));
         };
         const detail::ExpandCounts counts =
@@ -245,8 +297,8 @@ workerLoop(Frontier &frontier, ShardedSignatureSet &seen,
                 ? detail::expandDpor(obs, node, config, *ledger, local, emit)
                 : detail::expandBranches(
                       obs, node.prefix.size(), config,
-                      [&children](std::vector<std::uint32_t> next) {
-                          children.push_back({std::move(next), {}});
+                      [&emit](std::vector<std::uint32_t> next) {
+                          emit({std::move(next), {}, nullptr});
                       });
 
         {
@@ -256,7 +308,7 @@ workerLoop(Frontier &frontier, ShardedSignatureSet &seen,
             frontier.result.branchesPruned += counts.pruned;
             frontier.result.branchesBoundedOut += counts.boundedOut;
             for (detail::PendingNode &child : children)
-                frontier.pending.push_back(std::move(child));
+                frontier.stacks[worker_id].push_back(std::move(child));
             --frontier.inFlight;
         }
         frontier.cv.notify_all();
@@ -272,21 +324,20 @@ explore(const check::ProgramFactory &factory,
 {
     ICHECK_ASSERT(jobs >= 1, "explore() needs at least one worker, got ",
                   jobs);
-    Frontier frontier;
-    frontier.pending.push_back({});
-    frontier.result.stats.dporActive = config.dpor;
-    ShardedSignatureSet seen;
-
-    // Prefix sharing: one persistent machine per worker plus a shared
-    // checkpoint tree, unless disabled or unsupported (TSan builds).
-    // Either way every observation — and therefore the whole
-    // ExploreResult minus stats — is byte-identical. Per-run tracing
-    // forces cold runs: a trace must cover its schedule from the start.
+    // Prefix sharing: one persistent machine per worker, whose
+    // checkpoints the frontier nodes lease under one shared cap, unless
+    // disabled or unsupported (TSan builds). Either way every
+    // observation — and therefore the whole ExploreResult minus stats —
+    // is byte-identical. Per-run tracing forces cold runs: a trace must
+    // cover its schedule from the start. The cap outlives the frontier,
+    // whose leases it is charged for.
     const bool warm = config.checkpoints && PrefixEngine::supported() &&
                       config.traceDir.empty();
-    std::unique_ptr<CheckpointTree> tree;
-    if (warm)
-        tree = std::make_unique<CheckpointTree>(config.checkpointBudgetBytes);
+    detail::CheckpointBudget budget(config.checkpointBudgetBytes);
+    Frontier frontier(jobs);
+    frontier.stacks[0].push_back({});
+    frontier.result.stats.dporActive = config.dpor;
+    detail::SignatureSet seen;
     std::unique_ptr<BranchLedger> ledger;
     if (config.dpor)
         ledger = std::make_unique<BranchLedger>();
@@ -296,7 +347,7 @@ explore(const check::ProgramFactory &factory,
     const auto work = [&](std::size_t worker_id) {
         try {
             workerLoop(frontier, seen, factory, machine_template, config,
-                       tree.get(), ledger.get(), worker_id);
+                       warm ? &budget : nullptr, ledger.get(), worker_id);
         } catch (...) {
             std::lock_guard<std::mutex> lock(frontier.mu);
             if (!frontier.error)
@@ -314,12 +365,8 @@ explore(const check::ProgramFactory &factory,
     if (frontier.error)
         std::rethrow_exception(frontier.error);
 
-    frontier.result.exhausted = frontier.pending.empty();
-    if (warm) {
-        frontier.result.stats.checkpointsCreated = tree->createdCount();
-        frontier.result.stats.checkpointsEvicted = tree->evictedCount();
-        frontier.result.stats.checkpointBytes = tree->residentBytes();
-    }
+    frontier.result.exhausted = frontier.empty();
+    frontier.result.stats.checkpointBytes = budget.peakBytes();
     return frontier.result;
 }
 

@@ -23,11 +23,12 @@
  * whose thread-local state is a function of progress — true of the small
  * test programs used here.
  *
- * One search loop serves every job count: a shared LIFO frontier of
- * schedule prefixes feeds the workers, each executes one scripted run,
- * expands its unexplored branches and pushes them back, and the pruning
- * signature set is shared and shard-locked, so a state reached by any
- * worker prunes every other worker's branches.
+ * One search loop serves every job count: a frontier of schedule
+ * prefixes feeds the workers, each executes one scripted run, expands
+ * its unexplored branches and pushes them on its own LIFO stack (an idle
+ * worker steals another's oldest node), and the pruning signature set is
+ * shared and shard-locked, so a state reached by any worker prunes every
+ * other worker's branches.
  *
  * Determinism contract: with one worker the search order, and so the
  * whole ExploreResult, is a function of the inputs. With more, which run
@@ -40,9 +41,11 @@
  * search still reports the same finalStates.
  */
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <span>
 #include <vector>
@@ -104,8 +107,8 @@ struct ExploreConfig
 
     /**
      * Share schedule prefixes between runs via machine checkpoints: a
-     * frontier node restores its deepest checkpointed ancestor and
-     * executes only the schedule suffix, instead of cold re-running the
+     * frontier node restores the checkpoint it leases (an ancestor of its
+     * prefix) and executes only the rest, instead of cold re-running the
      * whole prefix. Pure performance for programs that keep only
      * trivially destructible state on their thread stacks (the
      * SimFiber::restore contract) — every observation, report, and hash
@@ -116,17 +119,9 @@ struct ExploreConfig
     bool checkpoints = true;
 
     /**
-     * Create a checkpoint at every Nth eligible scheduling decision.
-     * Creating one costs about as much as restoring one, so stride 1
-     * spends more on snapshots than they save; a hit loses at most
-     * N-1 decisions of re-execution, which stride 4 keeps negligible.
-     */
-    std::size_t checkpointStride = 4;
-
-    /**
-     * Byte budget of the checkpoint tree; least-recently-used entries
-     * are evicted past it (workers holding a lease on an evicted
-     * snapshot keep it alive until they finish with it).
+     * Hard cap on the bytes of the search's live checkpoints. At the cap
+     * runs skip new checkpoints; no lease is dropped and no result
+     * changes, only more decisions are replayed.
      */
     std::size_t checkpointBudgetBytes = 64ULL << 20;
 
@@ -147,11 +142,11 @@ struct ExploreStats
 {
     bool checkpointing = false; ///< Prefix sharing actually in effect.
     std::uint64_t nodesExpanded = 0;      ///< Schedules executed.
-    std::uint64_t checkpointHits = 0;     ///< Runs resumed from an ancestor.
+    std::uint64_t checkpointHits = 0;     ///< Runs resumed from a lease.
     std::uint64_t checkpointMisses = 0;   ///< Runs replayed from the root.
-    std::uint64_t checkpointsCreated = 0;
-    std::uint64_t checkpointsEvicted = 0;
-    std::uint64_t checkpointBytes = 0;    ///< Resident tree bytes at end.
+    std::uint64_t checkpointsCreated = 0; ///< Checkpoints taken (no roots).
+    std::uint64_t checkpointsEvicted = 0; ///< Checkpoints skipped at the cap.
+    std::uint64_t checkpointBytes = 0;    ///< Peak live checkpoint bytes.
     std::uint64_t pagesCowCloned = 0;     ///< COW page copies performed.
     std::uint64_t decisionsRestored = 0;  ///< Decisions skipped via restore.
     std::uint64_t decisionsExecuted = 0;  ///< Decisions actually simulated.
@@ -173,10 +168,9 @@ struct ExploreStats
 };
 
 /**
- * Render @p stats as the canonical single-line JSON object shared by
- * `icheck explore --stats` and the campaign service's explore
- * responses. Fixed key order, fixed "%.4f" dedup-rate formatting —
- * consumers diff these lines byte-for-byte.
+ * Render @p stats as the canonical single-line JSON object that
+ * `icheck explore --stats` prints. Fixed key order, fixed "%.4f"
+ * dedup-rate formatting — consumers diff these lines byte-for-byte.
  */
 std::string renderStatsJson(const ExploreStats &stats);
 
@@ -225,11 +219,17 @@ struct SleepEntry
 /** A frontier node's sleep set, sorted by tid (deterministic folds). */
 using SleepSet = std::vector<SleepEntry>;
 
-/** One frontier node: a schedule prefix plus its inherited sleep set. */
+struct Checkpoint; // prefix_engine.hpp
+
+/**
+ * One frontier node: a schedule prefix, its inherited sleep set, and a
+ * lease on the checkpoint it resumes from (null when exploring cold).
+ */
 struct PendingNode
 {
     std::vector<std::uint32_t> prefix;
     SleepSet sleep; ///< Empty unless ExploreConfig::dpor.
+    std::shared_ptr<const Checkpoint> lease;
 };
 
 /**
@@ -310,10 +310,38 @@ struct RunObservation
 
 /**
  * Insert a pruning signature into the seen set; returns true if the
- * signature was new. explore() backs this with a sharded,
- * mutex-protected set shared by its workers.
+ * signature was new. explore() backs this with a SignatureSet shared by
+ * its workers.
  */
 using SignatureInsert = std::function<bool(std::uint64_t)>;
+
+/**
+ * The seen set of pruning signatures: a state reached by any worker
+ * prunes every worker's branches, without one hot lock. 64 shards, each
+ * under its own mutex and each an open-addressing table with linear
+ * probing, grown at 3/4 load; 0 marks an empty slot, so signature 0 is a
+ * flag of its own. Signatures arrive avalanche-mixed, so their bits are
+ * used as they are: the low 6 pick the shard and the ones above them the
+ * probe start.
+ */
+class SignatureSet
+{
+  public:
+    static constexpr std::size_t numShards = 64;
+
+    /** Insert @p sig; true if it was new. Safe from any thread. */
+    bool insert(std::uint64_t sig);
+
+  private:
+    struct Shard
+    {
+        std::mutex mu;
+        std::vector<std::uint64_t> slots; ///< Power-of-two size; 0 = empty.
+        std::size_t used = 0;
+        bool hasZero = false;
+    };
+    std::array<Shard, numShards> shards;
+};
 
 /**
  * Execute one scripted run continuing past @p prefix. @p sleep is the

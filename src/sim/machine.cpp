@@ -384,13 +384,13 @@ Machine::checkpoint()
     snap->statistics = statistics;
     snap->checkpointIndex = checkpointIndex;
 
-    // Footprint estimate for cache budgeting: fiber images, the L1 tag
-    // arrays and output dominate; shared COW pages cost only their map
-    // entries until a write clones them, and the allocator tables are
-    // approximated per block.
+    // Footprint for checkpoint budgeting: fiber images, the L1 tag
+    // arrays, output, allocator tables (approximated per block) and a
+    // whole page per mapped page — a page shared copy-on-write at the
+    // fork stays pinned here once the live machine writes its own copy.
     snap->footprint = sizeof(MachineSnapshot) + fiber_bytes +
                       cache_bytes + snap->outputBytes.capacity() +
-                      mem.mappedPages() * 64 +
+                      mem.mappedPages() * mem::pageSize +
                       snap->heapState.blocks.size() * 192;
     return snap;
 }

@@ -124,7 +124,7 @@ class Machine;
  * the stacks of the Machine that produced them, so a snapshot may only be
  * restored into that same Machine (restore() asserts the shapes match and
  * the fibers assert their stack identity). Produced by Machine::checkpoint()
- * and consumed by Machine::restore(); the explorer's checkpoint tree holds
+ * and consumed by Machine::restore(); the explorer's frontier nodes hold
  * them behind shared_ptr leases.
  */
 class MachineSnapshot
@@ -132,7 +132,7 @@ class MachineSnapshot
   public:
     MachineSnapshot() = default;
 
-    /** Approximate incremental heap footprint, for cache budgeting. */
+    /** Approximate footprint, for the explorer's checkpoint cap. */
     std::size_t bytes() const { return footprint; }
 
   private:

@@ -2,9 +2,11 @@
  * @file
  * Prefix-sharing exploration: with checkpointing on, every exploration
  * outcome (runs executed, prune/bound counts, exhaustion, final states)
- * must be byte-identical to the cold path, for every pruning mode; the
- * checkpoint tree must survive tiny byte budgets (eviction) and the
- * parallel frontier must agree with the sequential engine.
+ * must be byte-identical to the cold path, for every pruning mode; leased
+ * checkpoints must resume children that branch above their parent's
+ * branch, must all be freed when the search returns, and a cap too small
+ * for any must change nothing but the replay; and the parallel frontier
+ * must agree with the sequential engine.
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +14,7 @@
 
 #include "apps/scales.hpp"
 #include "explore/explorer.hpp"
-#include "explore/snapshot_tree.hpp"
+#include "explore/prefix_engine.hpp"
 #include "runtime/parallel_explore.hpp"
 #include "sim/lambda_program.hpp"
 
@@ -156,41 +158,149 @@ TEST(SnapshotExplore, WarmEqualsColdUnderContextBound)
         << "the bound must actually bite for this to test anything";
 }
 
-TEST(SnapshotExplore, TinyBudgetEvictsButStaysExact)
+TEST(SnapshotExplore, CapTooSmallForOneSnapshotStaysExact)
 {
-    ExploreConfig warm_cfg = baseConfig(PruneMode::StateHash);
-    warm_cfg.checkpoints = true;
-    // A budget too small for more than a handful of snapshots: the tree
-    // must evict (and fall back to shallower ancestors / the pinned
-    // root) without changing any outcome.
-    warm_cfg.checkpointBudgetBytes = 64 * 1024;
-    ExploreConfig cold_cfg = baseConfig(PruneMode::StateHash);
-    cold_cfg.checkpoints = false;
+    for (const bool dpor : {false, true}) {
+        ExploreConfig warm_cfg = baseConfig(PruneMode::StateHash);
+        warm_cfg.dpor = dpor;
+        warm_cfg.checkpoints = true;
+        // No snapshot fits: every run must replay from its root without
+        // changing any outcome.
+        warm_cfg.checkpointBudgetBytes = 1;
+        ExploreConfig cold_cfg = warm_cfg;
+        cold_cfg.checkpoints = false;
 
-    const ExploreResult warm =
-        explore(racyFactory(), machineConfig(), warm_cfg);
-    const ExploreResult cold =
-        explore(racyFactory(), machineConfig(), cold_cfg);
-    expectSameOutcome(warm, cold, "tiny budget");
-    if (sim::Machine::snapshotSupported())
+        const ExploreResult warm =
+            explore(racyFactory(), machineConfig(), warm_cfg);
+        const ExploreResult cold =
+            explore(racyFactory(), machineConfig(), cold_cfg);
+        expectSameOutcome(warm, cold, dpor ? "1-byte cap, dpor" : "1-byte cap");
+        if (!PrefixEngine::supported())
+            continue;
         EXPECT_GT(warm.stats.checkpointsEvicted, 0u)
-            << "a 64 KiB budget must force evictions here";
+            << "the skipped checkpoints must be counted";
+        EXPECT_EQ(warm.stats.checkpointsCreated, 0u);
+        EXPECT_EQ(warm.stats.checkpointHits, 0u);
+        EXPECT_EQ(warm.stats.checkpointBytes, 0u);
+    }
 }
 
-TEST(SnapshotExplore, StrideOneMatchesDefaultStride)
+TEST(SnapshotExplore, NoCheckpointOutlivesTheSearch)
 {
-    ExploreConfig dense_cfg = baseConfig(PruneMode::None);
-    dense_cfg.checkpoints = true;
-    dense_cfg.checkpointStride = 1;
-    ExploreConfig sparse_cfg = baseConfig(PruneMode::None);
-    sparse_cfg.checkpoints = true;
-    sparse_cfg.checkpointStride = 8;
+    if (!PrefixEngine::supported())
+        GTEST_SKIP() << "fiber snapshots unavailable in this build";
 
-    const ExploreResult dense =
-        explore(racyFactory(), machineConfig(), dense_cfg);
-    const ExploreResult sparse =
-        explore(racyFactory(), machineConfig(), sparse_cfg);
-    expectSameOutcome(dense, sparse, "stride sweep");
+    ASSERT_EQ(detail::liveCheckpoints(), 0u);
+    for (const bool dpor : {false, true}) {
+        for (const int jobs : {1, 4}) {
+            // Exhausted, and cut short with leases still on the frontier.
+            for (const int max_runs : {4000, 12}) {
+                ExploreConfig cfg = baseConfig(PruneMode::StateHash);
+                cfg.dpor = dpor;
+                cfg.maxRuns = max_runs;
+                const ExploreResult result =
+                    explore(racyFactory(), machineConfig(), cfg, jobs);
+                EXPECT_GT(result.stats.checkpointsCreated, 0u)
+                    << dpor << " " << jobs << " " << max_runs;
+                EXPECT_EQ(detail::liveCheckpoints(), 0u)
+                    << dpor << " " << jobs << " " << max_runs;
+            }
+        }
+    }
+}
+
+TEST(SnapshotExplore, LongChainFreesWithoutRecursion)
+{
+    // Far deeper than a recursive release could go on a thread stack.
+    ASSERT_EQ(detail::liveCheckpoints(), 0u);
+    std::shared_ptr<const detail::Checkpoint> head;
+    for (int i = 0; i < 1000000; ++i) {
+        auto next = std::make_shared<detail::Checkpoint>();
+        next->parent = std::move(head);
+        head = std::move(next);
+    }
+    EXPECT_EQ(detail::liveCheckpoints(), 1000000u);
+    head.reset();
+    EXPECT_EQ(detail::liveCheckpoints(), 0u);
+}
+
+TEST(SnapshotExplore, ChildAboveParentBranchResumesFromAncestor)
+{
+    if (!PrefixEngine::supported())
+        GTEST_SKIP() << "fiber snapshots unavailable in this build";
+
+    ExploreConfig cfg = baseConfig(PruneMode::None);
+    cfg.dpor = true;
+    detail::CheckpointBudget budget(cfg.checkpointBudgetBytes);
+    PrefixEngine engine(racyFactory(), machineConfig(), cfg, budget, 0);
+    const detail::SignatureInsert insert = [](std::uint64_t) {
+        return true;
+    };
+
+    // Run @p node warm and check it against the cold run.
+    const auto run = [&](const detail::PendingNode &node) {
+        detail::RunObservation warm = engine.runOnce(node, insert);
+        const detail::RunObservation cold =
+            detail::runOnce(racyFactory(), machineConfig(), cfg,
+                            node.prefix, insert, &node.sleep);
+        EXPECT_EQ(warm.path, cold.path);
+        EXPECT_EQ(warm.fanout, cold.fanout);
+        EXPECT_EQ(warm.finalState, cold.finalState);
+        return warm;
+    };
+    // The child of the last run @p obs that flips its choice at @p e.
+    const auto child = [&](const detail::RunObservation &obs,
+                           std::size_t e) {
+        detail::PendingNode node;
+        node.prefix.assign(obs.path.begin(),
+                           obs.path.begin() + static_cast<std::ptrdiff_t>(e));
+        node.prefix.push_back(obs.path[e] == 0 ? 1 : 0);
+        node.lease = engine.leaseAt(e);
+        return node;
+    };
+    const auto branchy = [](const detail::RunObservation &obs,
+                            std::size_t from) {
+        for (std::size_t d = from; d < obs.fanout.size(); ++d) {
+            if (obs.fanout[d] > 1)
+                return d;
+        }
+        return noDecision;
+    };
+
+    // root -> n1 (branch e1, checkpointed) -> n2 (branch e2 > e1,
+    // checkpointed) -> n3, whose branch e3 lies between them: above its
+    // parent's branch, so its lease is the checkpoint n1 took.
+    const detail::RunObservation root = run({});
+    const std::size_t e1 = branchy(root, 1);
+    ASSERT_NE(e1, noDecision);
+    const detail::RunObservation o1 = run(child(root, e1));
+    const std::size_t e3 = branchy(o1, e1 + 1);
+    ASSERT_NE(e3, noDecision);
+    const std::size_t e2 = branchy(o1, e3 + 1);
+    ASSERT_NE(e2, noDecision);
+    const detail::PendingNode n2 = child(o1, e2);
+    ASSERT_NE(n2.lease, nullptr);
+    EXPECT_EQ(n2.lease->depth(), e1);
+    const detail::RunObservation o2 = run(n2);
+
+    const detail::PendingNode n3 = child(o2, e3);
+    ASSERT_NE(n3.lease, nullptr);
+    EXPECT_EQ(n3.lease.get(), n2.lease.get())
+        << "the lease must be the ancestor's checkpoint at e1";
+    const std::uint64_t hits = engine.stats().checkpointHits;
+    const std::uint64_t restored = engine.stats().decisionsRestored;
+    run(n3);
+    EXPECT_EQ(engine.stats().checkpointHits, hits + 1);
+    EXPECT_EQ(engine.stats().decisionsRestored, restored + e1);
+
+    // And the whole DPOR search is the cold one.
+    ExploreConfig cold_cfg = cfg;
+    cold_cfg.checkpoints = false;
+    const ExploreResult warm = explore(racyFactory(), machineConfig(), cfg);
+    const ExploreResult cold =
+        explore(racyFactory(), machineConfig(), cold_cfg);
+    expectSameOutcome(warm, cold, "dpor");
+    EXPECT_GT(warm.stats.checkpointHits, 0u);
 }
 
 TEST(SnapshotExplore, ParallelWarmEqualsSequentialCold)
