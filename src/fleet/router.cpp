@@ -6,15 +6,13 @@
 #include <cstdio>
 #include <cstring>
 
-#include <poll.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include "service/frame.hpp"
 #include "service/json.hpp"
+#include "service/line_socket.hpp"
 #include "service/protocol.hpp"
-#include "support/exit_codes.hpp"
 #include "support/json_escape.hpp"
 #include "support/logging.hpp"
 
@@ -129,26 +127,10 @@ Router::backendByName(const std::string &name)
 bool
 Router::connectBackend(Backend &backend)
 {
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    const int fd = service::connectUnix(backend.socketPath);
     if (fd < 0) {
-        warn("route: socket() failed: ", std::strerror(errno));
-        return false;
-    }
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (backend.socketPath.size() >= sizeof addr.sun_path) {
-        warn("route: backend socket path too long: ",
-             backend.socketPath);
-        ::close(fd);
-        return false;
-    }
-    std::strncpy(addr.sun_path, backend.socketPath.c_str(),
-                 sizeof addr.sun_path - 1);
-    if (::connect(fd, reinterpret_cast<const sockaddr *>(&addr),
-                  sizeof addr) != 0) {
         warn("route: cannot connect backend '", backend.name, "' at '",
              backend.socketPath, "': ", std::strerror(errno));
-        ::close(fd);
         return false;
     }
     backend.fd = fd;
@@ -193,23 +175,10 @@ Router::sendLine(Backend &backend, const std::string &line)
 {
     if (!backend.alive.load(std::memory_order_acquire))
         return false;
-    std::string framed = line;
-    framed += '\n';
+    // A failed send means the peer is gone: callers take the failover
+    // path.
     std::lock_guard<std::mutex> lock(backend.writeMu);
-    std::size_t written = 0;
-    while (written < framed.size()) {
-        // MSG_NOSIGNAL: a peer that vanished mid-write must surface as
-        // EPIPE (handled by the failover path), not a fatal SIGPIPE.
-        const ssize_t n = ::send(backend.fd, framed.data() + written,
-                                 framed.size() - written, MSG_NOSIGNAL);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        written += static_cast<std::size_t>(n);
-    }
-    return true;
+    return service::sendLine(backend.fd, line);
 }
 
 void
@@ -341,35 +310,18 @@ Router::reclaimStranded(Backend &backend, const std::string &id)
 void
 Router::backendReaderLoop(Backend &backend)
 {
-    std::string buffer;
-    char chunk[16 * 1024];
-    while (true) {
-        const ssize_t n = ::read(backend.fd, chunk, sizeof chunk);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            break;
-        }
-        if (n == 0)
-            break;
-        buffer.append(chunk, static_cast<std::size_t>(n));
-        std::size_t start = 0;
-        for (std::size_t i = start; i < buffer.size(); ++i) {
-            if (buffer[i] != '\n')
-                continue;
-            std::string line = buffer.substr(start, i - start);
-            start = i + 1;
-            if (line.empty())
-                continue;
-            const std::string id = extractResponseId(line);
-            if (id == pullId)
-                handlePullResponse(backend, line);
-            else if (id == installId)
-                ; // Idempotent install acks carry no actionable state.
-            else
-                completeResponse(backend, id, line);
-        }
-        buffer.erase(0, start);
+    // Backend responses are uncapped: a pull page or a campaign report
+    // is as long as the backend made it.
+    service::LineReader reader(backend.fd);
+    std::string line;
+    while (reader.next(line)) {
+        const std::string id = extractResponseId(line);
+        if (id == pullId)
+            handlePullResponse(backend, line);
+        else if (id == installId)
+            ; // Idempotent install acks carry no actionable state.
+        else
+            completeResponse(backend, id, line);
     }
     markDead(backend);
     failover(backend);
@@ -896,177 +848,22 @@ Router::stats() const
     return out;
 }
 
-namespace
-{
-
-/**
- * Per-connection state of one router client. Shared-owned: check
- * responses arrive asynchronously from backend reader threads, so the
- * respond closures handed to the router hold a shared_ptr and the
- * connection (and its fd) outlives its reaped reader thread until the
- * last response is written or dropped.
- */
-struct ClientConnection
-    : public std::enable_shared_from_this<ClientConnection>
-{
-    int fd = -1;
-    std::thread reader;
-    std::mutex writeMu;
-    std::atomic<bool> done{false}; ///< Reader exited; safe to reap.
-
-    ~ClientConnection()
-    {
-        if (fd >= 0)
-            ::close(fd);
-    }
-};
-
-void
-writeClientResponse(ClientConnection &connection,
-                    const std::string &response)
-{
-    std::string framed = response;
-    framed += '\n';
-    std::lock_guard<std::mutex> lock(connection.writeMu);
-    std::size_t written = 0;
-    while (written < framed.size()) {
-        // MSG_NOSIGNAL: a client that disconnected mid-response must
-        // not SIGPIPE the router out from under every other client.
-        const ssize_t n =
-            ::send(connection.fd, framed.data() + written,
-                   framed.size() - written, MSG_NOSIGNAL);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return; // Peer went away; its responses are undeliverable.
-        }
-        written += static_cast<std::size_t>(n);
-    }
-}
-
-void
-clientReader(ClientConnection &connection, Router &router)
-{
-    const Router::Respond respond =
-        [self = connection.shared_from_this()](
-            const std::string &response) {
-            writeClientResponse(*self, response);
-        };
-    std::string buffer;
-    char chunk[4096];
-    while (true) {
-        const ssize_t n = ::read(connection.fd, chunk, sizeof chunk);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return;
-        }
-        if (n == 0)
-            return;
-        buffer.append(chunk, static_cast<std::size_t>(n));
-        std::size_t start = 0;
-        for (std::size_t i = start; i < buffer.size(); ++i) {
-            if (buffer[i] != '\n')
-                continue;
-            std::string line = buffer.substr(start, i - start);
-            start = i + 1;
-            if (!line.empty())
-                router.handleClientLine(line, respond);
-        }
-        buffer.erase(0, start);
-        if (buffer.size() > 2 * clientMaxLineBytes) {
-            respond(service::renderErrorResponse(
-                {}, "oversized request line; closing connection"));
-            return;
-        }
-    }
-}
-
-} // namespace
-
 int
 Router::serve(const volatile std::sig_atomic_t *shutdown_flag)
 {
-    const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (listener < 0) {
-        warn("route: socket() failed: ", std::strerror(errno));
-        return ExitInternal;
-    }
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (listenSocket.size() >= sizeof addr.sun_path) {
-        warn("route: socket path too long: ", listenSocket);
-        ::close(listener);
-        return ExitUsage;
-    }
-    std::strncpy(addr.sun_path, listenSocket.c_str(),
-                 sizeof addr.sun_path - 1);
-    ::unlink(listenSocket.c_str());
-    if (::bind(listener, reinterpret_cast<const sockaddr *>(&addr),
-               sizeof addr) != 0 ||
-        ::listen(listener, 64) != 0) {
-        warn("route: cannot bind/listen on '", listenSocket,
-             "': ", std::strerror(errno));
-        ::close(listener);
-        return ExitInternal;
-    }
-    inform("routing ", backends.size(), " backends on unix socket ",
-           listenSocket);
-
-    std::vector<std::shared_ptr<ClientConnection>> connections;
-    // Reap disconnected clients as we go — a long-lived router must not
-    // accumulate one dead thread + socket per client that came and went.
-    const auto reapFinished = [&connections] {
-        for (auto it = connections.begin(); it != connections.end();) {
-            if ((*it)->done.load(std::memory_order_acquire)) {
-                (*it)->reader.join();
-                it = connections.erase(it);
-            } else {
-                ++it;
-            }
-        }
-    };
-    while (!(shutdown_flag != nullptr && *shutdown_flag != 0) &&
-           !drainComplete.load(std::memory_order_acquire)) {
-        reapFinished();
-        pollfd pfd{listener, POLLIN, 0};
-        const int ready = ::poll(&pfd, 1, 200);
-        if (ready < 0) {
-            if (errno == EINTR)
-                continue;
-            warn("route: poll failed: ", std::strerror(errno));
-            break;
-        }
-        if (ready == 0)
-            continue;
-        const int fd = ::accept(listener, nullptr, nullptr);
-        if (fd < 0) {
-            if (errno == EINTR)
-                continue;
-            warn("route: accept failed: ", std::strerror(errno));
-            break;
-        }
-        auto connection = std::make_shared<ClientConnection>();
-        connection->fd = fd;
-        ClientConnection *raw = connection.get();
-        connection->reader = std::thread([raw, this] {
-            clientReader(*raw, *this);
-            raw->done.store(true, std::memory_order_release);
-        });
-        connections.push_back(std::move(connection));
-    }
-
-    ::close(listener);
-    for (auto &connection : connections)
-        ::shutdown(connection->fd, SHUT_RDWR);
-    for (auto &connection : connections)
-        connection->reader.join();
-    // Dropping the vector closes each fd once its last outstanding
-    // respond closure (if any) has run; stop() below drains those.
-    connections.clear();
-    ::unlink(listenSocket.c_str());
+    inform("route: fronting ", backends.size(), " backends");
+    const int code = service::serveLines(
+        listenSocket, "route", 2 * clientMaxLineBytes,
+        [this](std::string line, const Respond &respond) {
+            handleClientLine(line, respond);
+        },
+        [this, shutdown_flag] {
+            return (shutdown_flag != nullptr && *shutdown_flag != 0) ||
+                   drainComplete.load(std::memory_order_acquire);
+        },
+        {});
     stop();
-    return ExitOk;
+    return code;
 }
 
 void

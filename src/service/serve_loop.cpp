@@ -1,18 +1,8 @@
 #include "service/serve_loop.hpp"
 
-#include <atomic>
-#include <cerrno>
-#include <cstring>
-#include <memory>
-
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
+#include "service/line_socket.hpp"
 #include "service/protocol.hpp"
 #include "support/exit_codes.hpp"
-#include "support/logging.hpp"
 
 namespace icheck::service
 {
@@ -160,199 +150,30 @@ servePipe(Service &service, std::istream &in, std::ostream &out,
     return ExitOk;
 }
 
-namespace
-{
-
-/**
- * Per-connection reader state for the socket transport. Shared-owned:
- * queued jobs answer from dispatcher threads, so each respond closure
- * holds a shared_ptr and the connection (and its fd) outlives its
- * reaped reader thread until the last queued response is written.
- */
-struct Connection : public std::enable_shared_from_this<Connection>
-{
-    int fd = -1;
-    std::thread reader;
-    std::mutex writeMu;
-    std::atomic<bool> done{false}; ///< Reader exited; safe to reap.
-
-    ~Connection()
-    {
-        if (fd >= 0)
-            ::close(fd);
-    }
-};
-
-/** Write all of @p response + '\n' to @p connection. */
-void
-writeResponse(Connection &connection, const std::string &response)
-{
-    std::string framed = response;
-    framed += '\n';
-    std::lock_guard<std::mutex> lock(connection.writeMu);
-    std::size_t written = 0;
-    while (written < framed.size()) {
-        // MSG_NOSIGNAL: a client that disconnected mid-response must
-        // surface as EPIPE below, not SIGPIPE the whole daemon.
-        const ssize_t n =
-            ::send(connection.fd, framed.data() + written,
-                   framed.size() - written, MSG_NOSIGNAL);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return; // Peer went away; its responses are undeliverable.
-        }
-        written += static_cast<std::size_t>(n);
-    }
-}
-
-/**
- * Read lines from @p connection and feed @p loop until EOF/error.
- * Oversized lines (beyond max_line plus slack) earn an error response
- * and close the connection — resyncing inside an unbounded line would
- * mean buffering it.
- */
-void
-connectionReader(Connection &connection, ServeLoop &loop,
-                 std::size_t max_line)
-{
-    const ServeLoop::Respond respond =
-        [self = connection.shared_from_this()](
-            const std::string &response) {
-            writeResponse(*self, response);
-        };
-    std::string buffer;
-    char chunk[4096];
-    while (true) {
-        const ssize_t n = ::read(connection.fd, chunk, sizeof chunk);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return;
-        }
-        if (n == 0)
-            return;
-        buffer.append(chunk, static_cast<std::size_t>(n));
-        std::size_t start = 0;
-        for (std::size_t i = start; i < buffer.size(); ++i) {
-            if (buffer[i] != '\n')
-                continue;
-            std::string line = buffer.substr(start, i - start);
-            start = i + 1;
-            if (!line.empty())
-                loop.submit(std::move(line), respond);
-        }
-        buffer.erase(0, start);
-        if (max_line != 0 && buffer.size() > max_line) {
-            respond(renderErrorResponse(
-                {}, "oversized request line; closing connection"));
-            return;
-        }
-    }
-}
-
-} // namespace
-
 int
 serveSocket(Service &service, const std::string &socket_path,
             const volatile std::sig_atomic_t *shutdown_flag)
 {
-    const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (listener < 0) {
-        warn("serve: socket() failed: ", std::strerror(errno));
-        return ExitInternal;
-    }
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (socket_path.size() >= sizeof addr.sun_path) {
-        warn("serve: socket path too long: ", socket_path);
-        ::close(listener);
-        return ExitUsage;
-    }
-    std::strncpy(addr.sun_path, socket_path.c_str(),
-                 sizeof addr.sun_path - 1);
-    ::unlink(socket_path.c_str());
-    if (::bind(listener, reinterpret_cast<const sockaddr *>(&addr),
-               sizeof addr) != 0 ||
-        ::listen(listener, 64) != 0) {
-        warn("serve: cannot bind/listen on '", socket_path,
-             "': ", std::strerror(errno));
-        ::close(listener);
-        return ExitInternal;
-    }
-    inform("serving on unix socket ", socket_path);
-
     ServeLoop loop(service, service.config().queueDepth,
                    service.config().dispatchers);
-    std::mutex connections_mu;
-    std::vector<std::shared_ptr<Connection>> connections;
-    // Reap disconnected clients as we go — a long-lived daemon must not
-    // accumulate one dead thread + socket per client that came and went.
-    const auto reapFinished = [&connections, &connections_mu] {
-        std::lock_guard<std::mutex> lock(connections_mu);
-        for (auto it = connections.begin(); it != connections.end();) {
-            if ((*it)->done.load(std::memory_order_acquire)) {
-                (*it)->reader.join();
-                it = connections.erase(it);
-            } else {
-                ++it;
-            }
-        }
-    };
-
-    while (!(shutdown_flag != nullptr && *shutdown_flag != 0) &&
-           !service.drainRequested()) {
-        reapFinished();
-        pollfd pfd{listener, POLLIN, 0};
-        const int ready = ::poll(&pfd, 1, 200);
-        if (ready < 0) {
-            if (errno == EINTR)
-                continue;
-            warn("serve: poll failed: ", std::strerror(errno));
-            break;
-        }
-        if (ready == 0)
-            continue;
-        const int fd = ::accept(listener, nullptr, nullptr);
-        if (fd < 0) {
-            if (errno == EINTR)
-                continue;
-            warn("serve: accept failed: ", std::strerror(errno));
-            break;
-        }
-        auto connection = std::make_shared<Connection>();
-        connection->fd = fd;
-        Connection *raw = connection.get();
-        const std::size_t max_line = service.config().maxLineBytes;
-        connection->reader = std::thread([raw, &loop, max_line] {
-            connectionReader(*raw, loop, max_line);
-            raw->done.store(true, std::memory_order_release);
+    const int code = serveLines(
+        socket_path, "serve", service.config().maxLineBytes,
+        [&loop](std::string line, const Respond &respond) {
+            loop.submit(std::move(line), respond);
+        },
+        [&service, shutdown_flag] {
+            return (shutdown_flag != nullptr && *shutdown_flag != 0) ||
+                   service.drainRequested();
+        },
+        // Graceful drain: stop intake and let queued campaigns finish
+        // (the store keeps every completed unit) and answer before the
+        // clients are hung up.
+        [&loop] {
+            loop.beginDrain();
+            loop.awaitIdle();
         });
-        std::lock_guard<std::mutex> lock(connections_mu);
-        connections.push_back(std::move(connection));
-    }
-
-    // Graceful drain: stop accepting, let queued campaigns finish (the
-    // store keeps every completed unit), then unblock the readers.
-    ::close(listener);
-    loop.beginDrain();
-    loop.awaitIdle();
-    {
-        std::lock_guard<std::mutex> lock(connections_mu);
-        for (auto &connection : connections)
-            ::shutdown(connection->fd, SHUT_RDWR);
-    }
-    {
-        std::lock_guard<std::mutex> lock(connections_mu);
-        for (auto &connection : connections)
-            connection->reader.join();
-        // Dropping the vector closes each fd once its last in-flight
-        // respond closure (if any) has run; loop.shutdown() drains them.
-        connections.clear();
-    }
     loop.shutdown();
-    ::unlink(socket_path.c_str());
-    return ExitOk;
+    return code;
 }
 
 } // namespace icheck::service

@@ -12,8 +12,8 @@
  * backpressure instead of unbounded buffering. Two transports feed it:
  *
  *   servePipe   — JSONL over stdin/stdout (also what tests drive);
- *   serveSocket — JSONL over a Unix-domain stream socket, one reader
- *                 thread per accepted connection.
+ *   serveSocket — JSONL over a Unix-domain stream socket, through the
+ *                 shared line transport (service/line_socket.hpp).
  *
  * Both drain gracefully: an op:"drain" request or SIGTERM/SIGINT stops
  * intake, lets queued and in-flight campaigns finish (their units and

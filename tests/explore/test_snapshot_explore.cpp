@@ -134,8 +134,9 @@ TEST(SnapshotExplore, WarmEqualsColdEveryPruneMode)
             const ExploreResult cold =
                 explore(c.factory, machineConfig(), cold_cfg);
             expectSameOutcome(warm, cold, "prune-mode sweep");
-            if (PrefixEngine::supported())
+            if (PrefixEngine::supported()) {
                 EXPECT_TRUE(warm.stats.checkpointing);
+            }
             EXPECT_FALSE(cold.stats.checkpointing);
         }
     }

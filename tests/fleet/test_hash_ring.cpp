@@ -70,7 +70,7 @@ TEST(HashRing, OwnershipIsAPureFunctionOfMembership)
 TEST(HashRing, SpreadIsRoughlyBalanced)
 {
     fleet::HashRing ring;
-    for (const std::string &member : {"b0", "b1", "b2", "b3"})
+    for (const char *member : {"b0", "b1", "b2", "b3"})
         ring.add(member);
     std::map<std::string, int> counts;
     const std::vector<std::string> keys = sampleKeys(2000);
@@ -88,7 +88,7 @@ TEST(HashRing, SpreadIsRoughlyBalanced)
 TEST(HashRing, RemovalRemapsOnlyTheDeadMembersKeys)
 {
     fleet::HashRing ring;
-    for (const std::string &member : {"b0", "b1", "b2", "b3"})
+    for (const char *member : {"b0", "b1", "b2", "b3"})
         ring.add(member);
     const std::vector<std::string> keys = sampleKeys(2000);
     std::vector<std::string> before;
@@ -117,7 +117,7 @@ TEST(HashRing, RemovalRemapsOnlyTheDeadMembersKeys)
 TEST(HashRing, AdditionStealsOnlyForTheNewMember)
 {
     fleet::HashRing ring;
-    for (const std::string &member : {"b0", "b1", "b2"})
+    for (const char *member : {"b0", "b1", "b2"})
         ring.add(member);
     const std::vector<std::string> keys = sampleKeys(1500);
     std::vector<std::string> before;
@@ -142,7 +142,7 @@ TEST(HashRing, AdditionStealsOnlyForTheNewMember)
 TEST(HashRing, RemoveThenReaddRestoresOwnership)
 {
     fleet::HashRing ring;
-    for (const std::string &member : {"b0", "b1", "b2"})
+    for (const char *member : {"b0", "b1", "b2"})
         ring.add(member);
     const std::vector<std::string> keys = sampleKeys(300);
     std::vector<std::string> before;

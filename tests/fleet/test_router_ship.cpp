@@ -10,22 +10,23 @@
  */
 
 #include <chrono>
-#include <cstring>
 #include <future>
 #include <string>
 
 #include <dirent.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include "fleet/fleet_config.hpp"
 #include "fleet/router.hpp"
+#include "service/line_socket.hpp"
+#include "support/exit_codes.hpp"
 
 namespace fleet = icheck::fleet;
+namespace service = icheck::service;
 
 namespace
 {
@@ -54,20 +55,8 @@ class FakeBackend
     bool
     listen()
     {
-        listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        if (listener < 0)
-            return false;
-        sockaddr_un addr{};
-        addr.sun_family = AF_UNIX;
-        if (path.size() >= sizeof addr.sun_path)
-            return false;
-        std::strncpy(addr.sun_path, path.c_str(),
-                     sizeof addr.sun_path - 1);
-        ::unlink(path.c_str());
-        return ::bind(listener,
-                      reinterpret_cast<const sockaddr *>(&addr),
-                      sizeof addr) == 0 &&
-               ::listen(listener, 4) == 0;
+        return service::listenUnix(path, "fake backend", listener) ==
+               icheck::ExitOk;
     }
 
     bool
@@ -102,18 +91,7 @@ class FakeBackend
     bool
     sendLine(const std::string &line)
     {
-        std::string framed = line;
-        framed += '\n';
-        std::size_t written = 0;
-        while (written < framed.size()) {
-            const ssize_t n =
-                ::send(conn, framed.data() + written,
-                       framed.size() - written, MSG_NOSIGNAL);
-            if (n < 0)
-                return false;
-            written += static_cast<std::size_t>(n);
-        }
-        return true;
+        return service::sendLine(conn, line);
     }
 
     void

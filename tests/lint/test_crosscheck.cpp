@@ -146,8 +146,9 @@ TEST(CrossCheck, EmitsX1WhenRaceHitsABelievedGuardedLine)
         {raceAt("src/sim/counter.cpp", 10, 15)});
     EXPECT_EQ(countRule(checked.findings, Rule::X1), 2);
     for (const KeyedFinding &entry : checked.findings) {
-        if (entry.finding.rule == Rule::X1)
+        if (entry.finding.rule == Rule::X1) {
             EXPECT_EQ(entry.finding.severity, Severity::Error);
+        }
     }
 }
 

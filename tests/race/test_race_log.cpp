@@ -15,7 +15,6 @@
 #include "race/race_log.hpp"
 #include "sim/lambda_program.hpp"
 #include "sim/machine.hpp"
-#include "sim/trace_listener.hpp"
 
 namespace icheck::race
 {
@@ -132,29 +131,6 @@ TEST(RaceLog, ExportsSeededWaterSPBugWithAppAttribution)
     std::ostringstream again;
     exportRaceLog(factory, config(1), 6, 1, "waterSP", again);
     EXPECT_EQ(log, again.str());
-}
-
-TEST(RaceLog, TraceListenerAnnotatesSitesWhenArmed)
-{
-    sim::Machine machine(config(5));
-    machine.setAccessSiteTracking(true);
-    sim::TraceListener trace;
-    trace.setSourceMachine(&machine);
-    machine.addListener(&trace);
-    sim::LambdaProgram prog(
-        "traced", 1,
-        [&](sim::SetupCtx &ctx) { ctx.global("x", mem::tInt64()); },
-        [&](sim::ThreadCtx &ctx) {
-            ctx.store<std::int64_t>(ctx.global("x"), 42);
-        });
-    machine.run(prog);
-    bool sawAnnotatedStore = false;
-    for (const std::string &line : trace.lines())
-        if (line.find("store64") != std::string::npos &&
-            line.find(" @") != std::string::npos &&
-            line.find("test_race_log.cpp:") != std::string::npos)
-            sawAnnotatedStore = true;
-    EXPECT_TRUE(sawAnnotatedStore);
 }
 
 } // namespace

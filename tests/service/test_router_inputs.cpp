@@ -192,7 +192,7 @@ TEST(RouterInputs, ErrorFramesCarryTheRequestIdFirst)
     // The router routes responses by a prefix scan of the id, so even
     // error frames must render the id as the first member.
     Service daemon(quietConfig());
-    for (const std::string line :
+    for (const std::string &line :
          {std::string("{\"id\":\"e0\",\"op\":\"check\"}"),
           std::string("{\"id\":\"e1\",\"op\":\"pull\",\"from\":7}"),
           std::string("{\"id\":\"e2\",\"op\":\"install\","

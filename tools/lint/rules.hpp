@@ -43,7 +43,8 @@ struct LintConfig
      */
     std::vector<std::string> lockedCounterScope = {
         "src/runtime/", "src/explore/explorer", "src/service/daemon",
-        "src/service/executor", "src/service/serve_loop"};
+        "src/service/executor", "src/service/line_socket",
+        "src/service/serve_loop"};
 
     /**
      * An object is considered guarded when at least this fraction of

@@ -49,12 +49,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -62,8 +60,6 @@
 #include <thread>
 #include <vector>
 
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -73,6 +69,7 @@
 #include "runtime/parallel_driver.hpp"
 #include "service/daemon.hpp"
 #include "service/json.hpp"
+#include "service/line_socket.hpp"
 #include "support/cli_args.hpp"
 #include "support/json_escape.hpp"
 
@@ -209,70 +206,29 @@ buildMix(const std::vector<std::string> &apps, const Options &opt)
     return mix;
 }
 
-/** Connect to a Unix stream socket; -1 on failure. */
-int
-connectSocket(const std::string &path)
-{
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0)
-        return -1;
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (path.size() >= sizeof addr.sun_path) {
-        ::close(fd);
-        return -1;
-    }
-    std::strncpy(addr.sun_path, path.c_str(), sizeof addr.sun_path - 1);
-    if (::connect(fd, reinterpret_cast<const sockaddr *>(&addr),
-                  sizeof addr) != 0) {
-        ::close(fd);
-        return -1;
-    }
-    return fd;
-}
-
-/** Write @p line + '\n', then read one '\n'-terminated response. */
+/**
+ * Send @p line on @p fd, then return the next response line from
+ * @p reader (which reads @p fd); empty if the peer is gone.
+ */
 std::string
-socketRoundtrip(int fd, const std::string &line)
+socketRoundtrip(int fd, service::LineReader &reader,
+                const std::string &line)
 {
-    std::string framed = line;
-    framed += '\n';
-    std::size_t written = 0;
-    while (written < framed.size()) {
-        // MSG_NOSIGNAL: a daemon/router we deliberately SIGKILL must
-        // surface as EPIPE here, not SIGPIPE the load generator.
-        const ssize_t n = ::send(fd, framed.data() + written,
-                                 framed.size() - written, MSG_NOSIGNAL);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return {};
-        }
-        written += static_cast<std::size_t>(n);
-    }
     std::string response;
-    char byte = 0;
-    while (true) {
-        const ssize_t n = ::read(fd, &byte, 1);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return {};
-        }
-        if (n == 0 || byte == '\n')
-            return response;
-        response.push_back(byte);
-    }
+    if (!service::sendLine(fd, line) || !reader.next(response))
+        return {};
+    return response;
 }
 
 /** One-off request/response against a Unix socket daemon. */
 std::string
 oneShotRequest(const std::string &socket, const std::string &line)
 {
-    const int fd = connectSocket(socket);
+    const int fd = service::connectUnix(socket);
     if (fd < 0)
         return {};
-    std::string response = socketRoundtrip(fd, line);
+    service::LineReader reader(fd);
+    std::string response = socketRoundtrip(fd, reader, line);
     ::close(fd);
     return response;
 }
@@ -299,7 +255,7 @@ bool
 awaitSocket(const std::string &path)
 {
     for (int attempt = 0; attempt < 200; ++attempt) {
-        const int fd = connectSocket(path);
+        const int fd = service::connectUnix(path);
         if (fd >= 0) {
             ::close(fd);
             return true;
@@ -583,15 +539,16 @@ main(int argc, char **argv)
             });
             continue;
         }
-        const int fd = connectSocket(socket_path);
+        const int fd = service::connectUnix(socket_path);
         if (fd < 0) {
             std::fprintf(stderr, "cannot connect to %s\n",
                          socket_path.c_str());
             return 3;
         }
         client_fds.push_back(fd);
-        channels.emplace_back([fd](const std::string &line) {
-            return socketRoundtrip(fd, line);
+        auto reader = std::make_shared<service::LineReader>(fd);
+        channels.emplace_back([fd, reader](const std::string &line) {
+            return socketRoundtrip(fd, *reader, line);
         });
     }
 
