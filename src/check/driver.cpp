@@ -22,6 +22,20 @@ executeCampaignRun(const DriverConfig &cfg, const ProgramFactory &factory,
                    mem::DeterministicAllocator::Mode mode,
                    std::string *app_name)
 {
+    // The record run seals the log however it ends, so a replay waiting
+    // on an entry this run never logs wakes even if the run throws.
+    struct SealOnExit
+    {
+        mem::ReplayLog *log;
+        ~SealOnExit()
+        {
+            if (log != nullptr)
+                log->seal();
+        }
+    } const seal_on_exit{mode == mem::DeterministicAllocator::Mode::Record
+                             ? &replay_log
+                             : nullptr};
+
     sim::MachineConfig mc = cfg.machine;
     mc.schedSeed =
         cfg.baseSchedSeed + static_cast<std::uint64_t>(run_index);

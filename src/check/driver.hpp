@@ -8,8 +8,9 @@
  * Runs a program N times for the same input under different scheduler
  * seeds, with a chosen InstantCheck scheme attached, and compares the
  * State Hash sequences across runs. Handles the Section 5 input-
- * nondeterminism control automatically: run 0 records the malloc replay
- * log, later runs replay it; library calls are intercepted by the machine.
+ * nondeterminism control automatically: run 0 records (and seals) the
+ * malloc replay log, later runs replay it; library calls are intercepted
+ * by the machine.
  */
 
 #include <cstdint>
@@ -112,10 +113,12 @@ struct DriverReport
 
 /**
  * Execute run @p run_index of the campaign described by @p cfg and return
- * its record. Run 0 must execute in Record mode before any Replay run so
- * the malloc replay log is populated; Replay runs only read the log, so
- * they may execute concurrently (the parallel campaign executor in
- * src/runtime relies on exactly this).
+ * its record. A Record-mode run fills @p replay_log and seals it when it
+ * ends, on every exit path (exceptions included). Replay runs only read
+ * the log, so they may execute concurrently with each other, and with
+ * the record run too once the log is streamed (mem::ReplayLog::stream):
+ * a replay then waits only for the entries it reads. The parallel
+ * campaign executor in src/runtime relies on exactly this.
  *
  * @param app_name If non-null, receives the program's name.
  */

@@ -1,39 +1,118 @@
 #include "mem/alloc.hpp"
 
+#include <algorithm>
+
 #include "support/logging.hpp"
 
 namespace icheck::mem
 {
 
+ReplayLog::ReplayLog(const ReplayLog &other)
+{
+    std::lock_guard<std::mutex> lock(other.mu);
+    entries = other.entries;
+    high = other.high;
+    streamed = other.streamed;
+    complete = other.complete;
+}
+
+ReplayLog &
+ReplayLog::operator=(const ReplayLog &other)
+{
+    if (this != &other) {
+        std::scoped_lock lock(mu, other.mu);
+        entries = other.entries;
+        high = other.high;
+        streamed = other.streamed;
+        complete = other.complete;
+    }
+    return *this;
+}
+
 void
 ReplayLog::record(const std::string &site, std::uint32_t seq, Addr addr)
 {
-    entries[{site, seq}] = addr;
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        ICHECK_ASSERT(!complete, "record into a sealed replay log at ",
+                      site);
+        entries[{site, seq}] = addr;
+    }
+    grown.notify_all();
 }
 
 std::optional<Addr>
 ReplayLog::lookup(const std::string &site, std::uint32_t seq) const
 {
-    auto it = entries.find({site, seq});
-    if (it == entries.end())
-        return std::nullopt;
-    return it->second;
+    const std::pair<std::string, std::uint32_t> key{site, seq};
+    std::unique_lock<std::mutex> lock(mu);
+    for (;;) {
+        auto it = entries.find(key);
+        if (it != entries.end())
+            return it->second;
+        if (!streamed || complete)
+            return std::nullopt;
+        grown.wait(lock);
+    }
+}
+
+Addr
+ReplayLog::highWater() const
+{
+    std::lock_guard<std::mutex> lock(mu);
+    return high;
 }
 
 void
 ReplayLog::raiseHighWater(Addr limit)
 {
+    std::lock_guard<std::mutex> lock(mu);
     if (limit > high)
         high = limit;
+}
+
+void
+ReplayLog::stream()
+{
+    std::lock_guard<std::mutex> lock(mu);
+    streamed = true;
+}
+
+void
+ReplayLog::seal()
+{
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        complete = true;
+    }
+    grown.notify_all();
+}
+
+bool
+ReplayLog::sealed() const
+{
+    std::lock_guard<std::mutex> lock(mu);
+    return complete;
+}
+
+bool
+ReplayLog::empty() const
+{
+    std::lock_guard<std::mutex> lock(mu);
+    return entries.empty();
+}
+
+std::size_t
+ReplayLog::size() const
+{
+    std::lock_guard<std::mutex> lock(mu);
+    return entries.size();
 }
 
 DeterministicAllocator::DeterministicAllocator(ReplayLog &replay_log,
                                                Mode mode)
     : log(replay_log), allocMode(mode)
-{
-    if (mode == Mode::Replay && log.highWater() > bump)
-        bump = log.highWater();
-}
+{}
 
 namespace
 {
@@ -57,7 +136,9 @@ DeterministicAllocator::takeAddress(const std::string &site,
         // Allocation not present in the recording run (the program itself
         // is nondeterministic in its allocation behaviour). Fall through to
         // fresh address space above the recorded high-water mark so replayed
-        // blocks are never clobbered.
+        // blocks are never clobbered. A miss on a streamed log returns only
+        // after the seal, so the mark read here is final.
+        bump = std::max(bump, log.highWater());
         const Addr addr = bump;
         bump += alignUp(size);
         return addr;

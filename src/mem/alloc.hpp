@@ -17,9 +17,11 @@
  *     checker can walk the heap and round FP values.
  */
 
+#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -47,36 +49,68 @@ struct Block
 /**
  * Address log for malloc replay: (site, per-site seq) -> address.
  *
- * The determinism driver records this during run 0 and hands the same log
- * to every later run so allocation addresses stop being an input
- * nondeterminism source.
+ * A campaign's record run (run 0) fills the log and every later run
+ * replays it, so allocation addresses stop being an input
+ * nondeterminism source. The record run seals the log when it ends, on
+ * every exit path; a sealed log is complete, even when it is empty
+ * (most workloads never call malloc).
+ *
+ * Replays may read the log while the record run is still writing it.
+ * Once stream() announces a record run, a lookup that misses waits
+ * until the record run logs that (site, seq) or seals the log, so a
+ * replay waits only on the entries it actually reads. A log nobody
+ * streams never waits: a miss returns at once, as it does for the
+ * explorer's private logs and for every record-then-replay sequence on
+ * one thread. Every member is guarded by one internal lock; a copy
+ * takes the entries, the high-water mark and the stream state, never
+ * the waiters.
  */
 class ReplayLog
 {
   public:
+    ReplayLog() = default;
+    ReplayLog(const ReplayLog &other);
+    ReplayLog &operator=(const ReplayLog &other);
+
     /** Record that allocation @p seq at @p site returned @p addr. */
     void record(const std::string &site, std::uint32_t seq, Addr addr);
 
-    /** Address previously recorded for (site, seq), if any. */
+    /**
+     * Address recorded for (site, seq), if any. On a streamed log that
+     * is not sealed yet, a miss waits for the entry or the seal.
+     */
     std::optional<Addr> lookup(const std::string &site,
                                std::uint32_t seq) const;
 
     /** Highest address ever recorded plus the block size, for overflow. */
-    Addr highWater() const { return high; }
+    Addr highWater() const;
 
     /** Extend the high-water mark (record mode bookkeeping). */
     void raiseHighWater(Addr limit);
 
-    /** True if nothing has been recorded yet. */
-    bool empty() const { return entries.empty(); }
+    /**
+     * Announce that a record run is about to fill this log while
+     * replays read it: until seal(), a lookup that misses waits.
+     */
+    void stream();
 
-    std::size_t size() const { return entries.size(); }
+    /** Mark the log complete and wake every waiting lookup. */
+    void seal();
+
+    /** True once the log is complete (empty or not). */
+    bool sealed() const;
+
+    /** True if nothing has been recorded yet. */
+    bool empty() const;
+
+    std::size_t size() const;
 
     /**
      * The recorded (site, seq) -> address entries, in deterministic map
      * order. The service's result store serializes a campaign's replay
      * log through this so a restarted daemon can resume replay-mode
-     * runs without re-executing the record-mode run.
+     * runs without re-executing the record-mode run. Read it only while
+     * nobody records into the log (e.g. once it is sealed).
      */
     const std::map<std::pair<std::string, std::uint32_t>, Addr> &
     entriesMap() const
@@ -85,8 +119,12 @@ class ReplayLog
     }
 
   private:
+    mutable std::mutex mu;
+    mutable std::condition_variable grown; ///< An entry or the seal landed.
     std::map<std::pair<std::string, std::uint32_t>, Addr> entries;
     Addr high = 0;
+    bool streamed = false;
+    bool complete = false;
 };
 
 /**
@@ -96,7 +134,9 @@ class ReplayLog
  * which deliberately makes the address layout a function of the allocation
  * *order*, i.e. of the thread interleaving, just like a real malloc. In
  * Replay mode it returns the logged address for each (site, seq) pair, which
- * removes that nondeterminism exactly as Section 5 prescribes.
+ * removes that nondeterminism exactly as Section 5 prescribes; a pair the
+ * log lacks gets fresh space above the log's high-water mark, read at that
+ * first miss (when a streamed log is already sealed).
  */
 class DeterministicAllocator
 {
@@ -148,7 +188,8 @@ class DeterministicAllocator
      * Complete value state of the allocator for machine checkpoints:
      * everything except the replay-log reference and the mode, which are
      * identity, not state. TypeRefs inside blocks are shared, immutable
-     * descriptors, so the copy is cheap and aliasing them is safe.
+     * descriptors, so the copy is cheap and aliasing them is safe. A
+     * replay's bump pointer stays at heapBase until its first miss.
      */
     struct State
     {

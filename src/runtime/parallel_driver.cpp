@@ -38,17 +38,17 @@ runCampaign(const check::DriverConfig &cfg,
     ICHECK_ASSERT(cfg.runs >= 2, "need at least two runs to compare");
 
     const auto campaign_start = Clock::now();
-    const int jobs = options.pool != nullptr
-                         ? static_cast<int>(options.pool->workerCount())
-                         : resolveJobs(options.jobs);
 
     mem::ReplayLog local_log;
     mem::ReplayLog &replay_log =
         options.replayLog != nullptr ? *options.replayLog : local_log;
-    // A pre-populated log means run 0 replays like everyone else; an
-    // empty one means run 0 must record it before anyone replays.
-    const bool log_ready = !replay_log.empty();
+    // A sealed log is complete, empty or not: every run replays it.
+    // Otherwise run 0 records it while later runs read it as it grows.
+    const bool log_ready = replay_log.sealed();
 
+    // The report's name: run 0's own, or the caller's when run 0 does
+    // not execute. Only run 0 writes it, and nobody reads it before the
+    // loop below has joined.
     std::string app = options.appName;
     std::vector<check::RunRecord> records(
         static_cast<std::size_t>(cfg.runs));
@@ -66,7 +66,7 @@ runCampaign(const check::DriverConfig &cfg,
     // Runs the service (or a resumed campaign) already has records for
     // are copied in place; everything else still needs executing. A
     // cached run 0 must nonetheless re-execute in Record mode when the
-    // log is absent and any Replay run remains — replays read the log.
+    // log is not ready and any Replay run remains — replays read the log.
     std::vector<int> to_execute;
     for (int run = 0; run < cfg.runs; ++run) {
         if (const check::RunRecord *cached = precomputedFor(run))
@@ -74,12 +74,13 @@ runCampaign(const check::DriverConfig &cfg,
         else
             to_execute.push_back(run);
     }
-    const bool need_record_rerun =
-        !log_ready && !to_execute.empty() && to_execute.front() != 0;
-    if (need_record_rerun)
-        to_execute.insert(to_execute.begin(), 0);
+    if (!log_ready && !to_execute.empty()) {
+        if (to_execute.front() != 0)
+            to_execute.insert(to_execute.begin(), 0);
+        replay_log.stream();
+    }
 
-    // Per-run wall time summed across workers; the utilization
+    // Per-run wall time summed across threads; the utilization
     // denominator (pool busy time would trail the last tasks).
     std::mutex busy_mu;
     double busy_seconds = 0.0;
@@ -89,50 +90,44 @@ runCampaign(const check::DriverConfig &cfg,
         const auto mode = run == 0 && !log_ready
                               ? mem::DeterministicAllocator::Mode::Record
                               : mem::DeterministicAllocator::Mode::Replay;
-        records[static_cast<std::size_t>(run)] = check::executeCampaignRun(
-            cfg, factory, run, replay_log, mode,
-            run == 0 ? &app : nullptr);
+        std::string name;
+        check::RunRecord &record = records[static_cast<std::size_t>(run)];
+        record = check::executeCampaignRun(cfg, factory, run, replay_log,
+                                           mode, &name);
         const double seconds = secondsSince(run_start);
         {
             std::lock_guard<std::mutex> lock(busy_mu);
             busy_seconds += seconds;
         }
         if (options.onRunComplete)
-            options.onRunComplete(
-                run, records[static_cast<std::size_t>(run)]);
+            options.onRunComplete(run, record);
         if (options.sink != nullptr)
-            options.sink->onRun(app, check::schemeName(cfg.scheme), run,
-                                records[static_cast<std::size_t>(run)],
-                                seconds);
+            options.sink->onRun(name, check::schemeName(cfg.scheme), run,
+                                record, seconds);
+        if (run == 0)
+            app = std::move(name);
     };
 
-    // Record-then-fan-out: an un-replayable run 0 writes the replay log
-    // on the calling thread; every later run only reads it, so they fan
-    // out freely. With a ready log there is no record run and the whole
-    // remainder fans out at once.
-    std::size_t first_parallel = 0;
-    if (!to_execute.empty() && to_execute.front() == 0 && !log_ready) {
-        execute(0);
-        first_parallel = 1;
+    // One loop runs every pending run, the record run first. The calling
+    // thread claims runs beside the pool's workers, so jobs counts it.
+    ThreadPool *pool = options.pool;
+    std::unique_ptr<ThreadPool> owned;
+    const int jobs = pool != nullptr
+                         ? static_cast<int>(pool->workerCount()) + 1
+                         : resolveJobs(options.jobs);
+    if (pool == nullptr && jobs > 1 && to_execute.size() > 1) {
+        owned =
+            std::make_unique<ThreadPool>(static_cast<unsigned>(jobs - 1));
+        pool = owned.get();
     }
-
     PoolStats pool_stats;
-    const std::size_t remaining = to_execute.size() - first_parallel;
-    if (jobs <= 1) {
-        for (std::size_t i = first_parallel; i < to_execute.size(); ++i)
-            execute(to_execute[i]);
-    } else if (remaining > 0) {
-        ThreadPool *pool = options.pool;
-        std::unique_ptr<ThreadPool> owned;
-        if (pool == nullptr) {
-            owned = std::make_unique<ThreadPool>(
-                static_cast<unsigned>(jobs));
-            pool = owned.get();
-        }
-        pool->parallelFor(remaining,
-                          [&execute, &to_execute,
-                           first_parallel](std::size_t i) {
-                              execute(to_execute[i + first_parallel]);
+    if (pool == nullptr) {
+        for (const int run : to_execute)
+            execute(run);
+    } else {
+        pool->parallelFor(to_execute.size(),
+                          [&execute, &to_execute](std::size_t i) {
+                              execute(to_execute[i]);
                           });
         pool_stats = pool->stats();
     }

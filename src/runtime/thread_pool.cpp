@@ -1,6 +1,7 @@
 #include "runtime/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <exception>
 
@@ -126,42 +127,51 @@ ThreadPool::parallelFor(std::size_t n,
     if (n == 0)
         return;
 
-    struct Join
+    // One counter hands out iterations in index order. A helper that
+    // starts after the last claim never touches fn, so it may outlive
+    // this call; the loop state is shared with it for that reason.
+    struct Loop
     {
+        std::atomic<std::size_t> next{0};
         std::mutex mu;
         std::condition_variable done;
-        std::size_t remaining;
+        std::size_t settled = 0;
         std::exception_ptr firstError;
-        std::size_t firstErrorIndex;
+        std::size_t firstErrorIndex = 0;
     };
-    auto join = std::make_shared<Join>();
-    join->remaining = n;
-    join->firstErrorIndex = n;
-
-    for (std::size_t i = 0; i < n; ++i) {
-        enqueue([join, &fn, i] {
+    auto loop = std::make_shared<Loop>();
+    loop->firstErrorIndex = n;
+    const auto claim = [loop, &fn, n] {
+        for (std::size_t i = loop->next.fetch_add(1); i < n;
+             i = loop->next.fetch_add(1)) {
+            std::exception_ptr error;
             try {
                 fn(i);
             } catch (...) {
-                std::lock_guard<std::mutex> lock(join->mu);
-                if (i < join->firstErrorIndex) {
-                    join->firstError = std::current_exception();
-                    join->firstErrorIndex = i;
-                }
+                error = std::current_exception();
             }
-            std::lock_guard<std::mutex> lock(join->mu);
-            if (--join->remaining == 0)
-                join->done.notify_all();
-        });
-    }
+            std::lock_guard<std::mutex> lock(loop->mu);
+            if (error && i < loop->firstErrorIndex) {
+                loop->firstError = std::move(error);
+                loop->firstErrorIndex = i;
+            }
+            if (++loop->settled == n)
+                loop->done.notify_all();
+        }
+    };
 
-    // Move the exception out under the lock: the worker that drops the
-    // last reference to `join` then never touches it.
+    const std::size_t helpers = std::min(workers.size(), n - 1);
+    for (std::size_t h = 0; h < helpers; ++h)
+        enqueue(claim);
+    claim();
+
+    // Move the exception out under the lock: a helper still holding
+    // `loop` then never sees it.
     std::exception_ptr error;
     {
-        std::unique_lock<std::mutex> lock(join->mu);
-        join->done.wait(lock, [&join] { return join->remaining == 0; });
-        error = std::move(join->firstError);
+        std::unique_lock<std::mutex> lock(loop->mu);
+        loop->done.wait(lock, [&loop, n] { return loop->settled == n; });
+        error = std::move(loop->firstError);
     }
     if (error)
         std::rethrow_exception(error);

@@ -14,8 +14,18 @@
  * (executed, stolen, peak depth, busy time) feed the result sink's
  * utilization report.
  *
+ * parallelFor is a claim loop: the calling thread and at most
+ * workerCount() helper tasks take iterations in index order, each run at
+ * once by its claimer. The caller is therefore one of the threads doing
+ * the work, so a caller that wants N threads in all creates a pool of
+ * N - 1 workers (runtime::runCampaign and icheck-lint do). A pool shared
+ * by several callers (the daemon's) keeps its size: each caller runs its
+ * own iterations beside whichever workers are free.
+ *
  * Guarantees:
  *  - a pool with one worker executes tasks in submission order;
+ *  - parallelFor claims iterations in index order, so iteration i is
+ *    claimed, and running on its claimer, before iteration i + 1 is;
  *  - exceptions thrown by a task propagate through its future, and
  *    parallelFor rethrows the lowest-index exception after all
  *    iterations settle;
@@ -42,6 +52,9 @@ namespace icheck::runtime
  * tasksExecuted/tasksStolen are committed when a task is dequeued, so a
  * caller that observed a task complete also observes it counted;
  * busySeconds is committed after each task and may trail in-flight work.
+ * parallelFor's tasks are its helpers, at most workerCount() per call; a
+ * helper that starts after the last claim still counts, possibly after
+ * parallelFor has returned.
  */
 struct PoolStats
 {
@@ -92,10 +105,12 @@ class ThreadPool
     }
 
     /**
-     * Run fn(i) for every i in [0, n) across the pool and block until all
-     * iterations finish. If iterations throw, the exception of the lowest
-     * index is rethrown (after every iteration has settled). Must be
-     * called from outside the pool's own workers.
+     * Run fn(i) for every i in [0, n) on the calling thread and up to
+     * min(workerCount(), n - 1) helper tasks, claimed in index order, and
+     * block until all iterations finish. A helper that starts after the
+     * last claim returns without calling fn. If iterations throw, the
+     * exception of the lowest index is rethrown (after every iteration
+     * has settled).
      */
     void parallelFor(std::size_t n,
                      const std::function<void(std::size_t)> &fn);

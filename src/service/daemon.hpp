@@ -32,7 +32,10 @@ namespace icheck::service
 /** Daemon configuration (CLI flags map 1:1 onto these). */
 struct ServiceConfig
 {
-    /** Pool workers shared by all campaigns; 0 = hardware concurrency. */
+    /**
+     * Pool workers shared by all campaigns; 0 = hardware concurrency.
+     * Each dispatcher runs its own campaign's runs beside them.
+     */
     int jobs = 0;
 
     /** Concurrent request dispatchers (campaigns in flight). */

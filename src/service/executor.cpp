@@ -125,9 +125,10 @@ CampaignExecutor::execute(const Request &request)
         }
     }
 
-    // Without the log, replay runs can't execute, so a cached run 0
-    // must re-record whenever any later unit is missing (it stops
-    // counting as reused).
+    // A decoded log is sealed, so runs replay it even when it is empty.
+    // Without one (absent, or undecodable after a version skew), replay
+    // runs can't execute, so a cached run 0 must re-record whenever any
+    // later unit is missing (it stops counting as reused).
     const bool any_missing = units_reused < cfg.runs;
     if (!log_reused && any_missing && precomputed[0] != nullptr) {
         precomputed[0] = nullptr;
@@ -143,8 +144,8 @@ CampaignExecutor::execute(const Request &request)
     options.appName = app->name;
     options.onRunComplete = [&](int run, const check::RunRecord &record) {
         store.put(unitKey(canonical, run), encodeRunRecord(record));
-        // Run 0 owns the replay log; persist it alongside so a resumed
-        // campaign can skip the record run entirely.
+        // Run 0 owns the replay log and has sealed it by now; persist it
+        // alongside so a resumed campaign can skip the record run.
         if (run == 0 && !log_reused)
             store.put(logKey(canonical), encodeReplayLog(replay_log));
     };

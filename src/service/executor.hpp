@@ -10,10 +10,12 @@
  * executing anything the executor consults the result store: units a
  * previous request — or a previous daemon process — already computed
  * are decoded and fed to the runtime as precomputed records, the
- * campaign's replay log is restored the same way, and only the missing
- * units fan out across the work-stealing pool. Each freshly executed
- * unit persists the moment it completes, so killing the daemon
- * mid-campaign loses at most in-flight runs.
+ * campaign's replay log is restored the same way (a stored log is
+ * sealed, so even an empty one spares the record run), and only the
+ * missing units execute, on the dispatcher thread and the shared
+ * work-stealing pool. Each freshly executed unit persists the moment it
+ * completes, so killing the daemon mid-campaign loses at most in-flight
+ * runs.
  *
  * The merged verdict goes through check::analyzeCampaign over
  * seed-ordered records and is rendered with check::renderReportJson —
@@ -52,7 +54,8 @@ class CampaignExecutor
   public:
     /**
      * @param store Shared unit/response store (seen-state set).
-     * @param pool  Shared worker pool; null means execute inline.
+     * @param pool  Shared worker pool, whose workers help the calling
+     *              thread; null means execute inline.
      */
     CampaignExecutor(ResultStore &store, runtime::ThreadPool *pool)
         : store(store), pool(pool)

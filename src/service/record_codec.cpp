@@ -174,6 +174,7 @@ decodeReplayLog(const std::string &bytes, mem::ReplayLog &log)
     if (!reader.done())
         return false;
     log.raiseHighWater(high_water);
+    log.seal();
     return true;
 }
 

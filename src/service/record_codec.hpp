@@ -33,7 +33,11 @@ std::optional<check::RunRecord> decodeRunRecord(const std::string &bytes);
 /** Serialize @p log (entries + high-water mark) into a store payload. */
 std::string encodeReplayLog(const mem::ReplayLog &log);
 
-/** Decode a payload produced by encodeReplayLog into @p log. */
+/**
+ * Decode a payload produced by encodeReplayLog into a fresh @p log. A
+ * stored log is a finished record run's, so on success @p log is sealed:
+ * complete even when empty, and replays never wait on it.
+ */
 bool decodeReplayLog(const std::string &bytes, mem::ReplayLog &log);
 
 } // namespace icheck::service

@@ -1,10 +1,15 @@
 /**
  * @file
  * Deterministic allocator: record/replay of addresses (the Section 5
- * malloc-nondeterminism control), free-list reuse, the live-block table.
+ * malloc-nondeterminism control), a log read while it is recorded,
+ * free-list reuse, the live-block table.
  */
 
 #include <gtest/gtest.h>
+
+#include <chrono>
+#include <future>
+#include <thread>
 
 #include "mem/alloc.hpp"
 
@@ -26,6 +31,96 @@ TEST(ReplayLog, RecordsAndLooksUp)
     EXPECT_FALSE(log.lookup("site_a", 2).has_value());
     EXPECT_FALSE(log.lookup("site_c", 0).has_value());
     EXPECT_EQ(log.size(), 3u);
+}
+
+TEST(ReplayLog, UnstreamedMissReturnsAtOnce)
+{
+    // Nobody announced a record run: a miss never waits, sealed or not.
+    ReplayLog log;
+    log.record("site_a", 0, 0x1000);
+    EXPECT_FALSE(log.lookup("site_a", 1).has_value());
+    EXPECT_FALSE(log.sealed());
+    log.seal();
+    EXPECT_TRUE(log.sealed());
+    EXPECT_FALSE(log.lookup("site_a", 1).has_value());
+}
+
+TEST(ReplayLog, StreamedLookupWakesOnRecord)
+{
+    ReplayLog log;
+    log.stream();
+    std::promise<std::optional<Addr>> found;
+    std::thread replay([&log, &found] {
+        found.set_value(log.lookup("site_a", 0));
+    });
+    auto result = found.get_future();
+    // Still waiting: the entry is not there and the log is not sealed.
+    EXPECT_EQ(result.wait_for(std::chrono::milliseconds(20)),
+              std::future_status::timeout);
+    log.record("site_a", 0, 0x1000);
+    EXPECT_EQ(result.get(), 0x1000u);
+    replay.join();
+    EXPECT_FALSE(log.sealed());
+}
+
+TEST(ReplayLog, StreamedMissResolvesAtSeal)
+{
+    // A pair the record run never logs stays pending through unrelated
+    // entries and resolves to a miss when the log is sealed.
+    ReplayLog log;
+    log.stream();
+    std::promise<std::optional<Addr>> found;
+    std::thread replay([&log, &found] {
+        found.set_value(log.lookup("never_logged", 0));
+    });
+    auto result = found.get_future();
+    log.record("site_a", 0, 0x1000);
+    EXPECT_EQ(result.wait_for(std::chrono::milliseconds(20)),
+              std::future_status::timeout);
+    log.seal();
+    EXPECT_FALSE(result.get().has_value());
+    replay.join();
+}
+
+TEST(ReplayLog, ReplayFreshAddressIsSealedHighWater)
+{
+    // A replay that misses while the record run is still allocating
+    // takes fresh space above the *sealed* high-water mark, not above
+    // the mark it would have seen when it started.
+    ReplayLog log;
+    log.stream();
+    DeterministicAllocator rec(log, DeterministicAllocator::Mode::Record);
+    DeterministicAllocator rep(log, DeterministicAllocator::Mode::Replay);
+    std::promise<Addr> fresh;
+    std::thread replay([&rep, &fresh] {
+        fresh.set_value(rep.allocate("replay_only", tInt64()));
+    });
+    auto result = fresh.get_future();
+    rec.allocate("x", tArray(tInt64(), 4));
+    rec.allocate("y", tArray(tInt64(), 4));
+    EXPECT_EQ(result.wait_for(std::chrono::milliseconds(20)),
+              std::future_status::timeout);
+    log.seal();
+    EXPECT_EQ(result.get(), log.highWater());
+    replay.join();
+    EXPECT_GT(log.highWater(), heapBase);
+}
+
+TEST(ReplayLog, CopiesCarryEntriesHighWaterAndSeal)
+{
+    ReplayLog log;
+    log.record("site_a", 0, 0x1000);
+    log.raiseHighWater(0x2000);
+    log.seal();
+    const ReplayLog copy(log);
+    ReplayLog assigned;
+    assigned = copy;
+    const ReplayLog moved(std::move(assigned));
+    for (const ReplayLog *each : {&copy, &moved}) {
+        EXPECT_EQ(each->lookup("site_a", 0), 0x1000u);
+        EXPECT_EQ(each->highWater(), 0x2000u);
+        EXPECT_TRUE(each->sealed());
+    }
 }
 
 TEST(Allocator, RecordModeIsOrderDeterministic)

@@ -4,19 +4,29 @@
  * DriverReport — checkpoint hash sequences, distributions, det/ndet
  * verdicts, firstNdetRun, and overhead statistics — is bit-identical to
  * the sequential DeterminismDriver's, for deterministic and
- * nondeterministic apps alike. Also covers the result sink's streaming
- * counters and JSONL output.
+ * nondeterministic apps alike, including apps whose replays read the
+ * malloc log while the record run writes it. Also covers campaigns
+ * sharing one pool, a failing record run, a sealed empty log, and the
+ * result sink's streaming counters and JSONL output.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <future>
+#include <mutex>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "apps/app_registry.hpp"
 #include "runtime/parallel_driver.hpp"
 #include "runtime/result_sink.hpp"
+#include "sim/lambda_program.hpp"
 
 namespace icheck::runtime
 {
@@ -130,11 +140,210 @@ TEST(ParallelDriver, ReusesExternalPool)
         check::DeterminismDriver(cfg).check(app.factory);
 
     ThreadPool pool(4);
+    std::mutex mu;
+    std::vector<int> executed;
     CampaignOptions options;
     options.pool = &pool;
+    options.onRunComplete = [&](int run, const check::RunRecord &) {
+        std::lock_guard<std::mutex> lock(mu);
+        executed.push_back(run);
+    };
     expectBitIdentical(sequential, runCampaign(cfg, app.factory, options));
-    // The pool executed the fanned-out replay runs (all but run 0).
-    EXPECT_EQ(pool.stats().tasksExecuted, 7u);
+    // Every run executed exactly once, on the caller or one of at most
+    // workerCount() helper tasks.
+    std::sort(executed.begin(), executed.end());
+    EXPECT_EQ(executed, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+    EXPECT_LE(pool.stats().tasksExecuted, 4u);
+}
+
+/**
+ * The four registry apps that call malloc, with the entries their record
+ * run logs at medium input: their replays read the log while the record
+ * run writes it.
+ */
+struct AllocatingApp
+{
+    const char *name;
+    std::size_t logEntries;
+};
+
+const AllocatingApp kAllocatingApps[] = {
+    {"cholesky", 8}, {"pbzip2", 24}, {"sphinx3", 40}, {"barnes", 48}};
+
+/** Names the parameter in test listings by the app, not its bytes. */
+void
+PrintTo(const AllocatingApp &app, std::ostream *os)
+{
+    *os << app.name;
+}
+
+class ParallelDriverStreamedLog
+    : public ::testing::TestWithParam<
+          std::tuple<AllocatingApp, check::Scheme>>
+{
+};
+
+TEST_P(ParallelDriverStreamedLog, MatchesSequentialReport)
+{
+    const auto [allocating, scheme] = GetParam();
+    const apps::AppInfo &app = apps::findApp(allocating.name);
+    check::DriverConfig cfg = campaignConfig(app, /*runs=*/6);
+    cfg.scheme = scheme;
+    const check::DriverReport sequential =
+        check::DeterminismDriver(cfg).check(app.factory);
+
+    mem::ReplayLog log;
+    CampaignOptions options;
+    options.jobs = 4;
+    options.replayLog = &log;
+    expectBitIdentical(sequential, runCampaign(cfg, app.factory, options));
+    EXPECT_TRUE(log.sealed());
+    EXPECT_EQ(log.size(), allocating.logEntries);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllocatingAppsAllSchemes, ParallelDriverStreamedLog,
+    ::testing::Combine(::testing::ValuesIn(kAllocatingApps),
+                       ::testing::Values(check::Scheme::HwInc,
+                                         check::Scheme::SwInc,
+                                         check::Scheme::SwTr)),
+    [](const auto &info) {
+        const check::Scheme scheme = std::get<1>(info.param);
+        return std::string(std::get<0>(info.param).name) +
+               (scheme == check::Scheme::HwInc   ? "_hw"
+                : scheme == check::Scheme::SwInc ? "_swinc"
+                                                 : "_swtr");
+    });
+
+TEST(ParallelDriver, TwoCampaignsShareOnePool)
+{
+    // The daemon's shape: two dispatcher threads run one campaign each
+    // on a shared 2-worker pool, both apps streaming their logs.
+    ThreadPool pool(2);
+    const char *const names[] = {"barnes", "pbzip2"};
+    std::vector<check::DriverReport> reports(2);
+    std::vector<std::thread> dispatchers;
+    for (std::size_t i = 0; i < 2; ++i) {
+        dispatchers.emplace_back([&pool, &reports, &names, i] {
+            const apps::AppInfo &app = apps::findApp(names[i]);
+            CampaignOptions options;
+            options.pool = &pool;
+            reports[i] =
+                runCampaign(campaignConfig(app, 8), app.factory, options);
+        });
+    }
+    for (std::thread &dispatcher : dispatchers)
+        dispatcher.join();
+    for (std::size_t i = 0; i < 2; ++i) {
+        const apps::AppInfo &app = apps::findApp(names[i]);
+        expectBitIdentical(
+            check::DeterminismDriver(campaignConfig(app, 8))
+                .check(app.factory),
+            reports[i]);
+    }
+}
+
+TEST(ParallelDriver, RecordRunThrowWakesWaitingReplays)
+{
+    // The pool's one worker is busy when the campaign starts, so the
+    // caller claims run 0, the record run, and builds the first program.
+    ThreadPool pool(1);
+    std::promise<void> release;
+    auto blocker =
+        pool.submit([held = release.get_future().share()] { held.wait(); });
+
+    std::atomic<int> programs{0};
+    const check::ProgramFactory factory =
+        [&]() -> std::unique_ptr<sim::Program> {
+        const bool record_run = programs.fetch_add(1) == 0;
+        return std::make_unique<sim::LambdaProgram>(
+            "throws", 1,
+            [&, record_run](sim::SetupCtx &ctx) {
+                if (!record_run) {
+                    ctx.alloc("late.cpp:block", mem::tInt64());
+                    return;
+                }
+                // Free the worker so a replay starts and waits on this
+                // run's log, then fail before logging its entry.
+                release.set_value();
+                const auto deadline =
+                    std::chrono::steady_clock::now() +
+                    std::chrono::seconds(30);
+                while (programs.load() < 2 &&
+                       std::chrono::steady_clock::now() < deadline)
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(1));
+                std::this_thread::sleep_for(std::chrono::milliseconds(20));
+                throw std::runtime_error("record run failed");
+            },
+            [](sim::ThreadCtx &) {});
+    };
+
+    check::DriverConfig cfg;
+    cfg.runs = 4;
+    mem::ReplayLog log;
+    std::mutex mu;
+    std::vector<int> completed;
+    CampaignOptions options;
+    options.pool = &pool;
+    options.replayLog = &log;
+    options.onRunComplete = [&](int run, const check::RunRecord &) {
+        std::lock_guard<std::mutex> lock(mu);
+        completed.push_back(run);
+    };
+    try {
+        runCampaign(cfg, factory, options);
+        FAIL() << "expected the record run's exception";
+    } catch (const std::runtime_error &error) {
+        EXPECT_STREQ(error.what(), "record run failed");
+    }
+    blocker.get();
+    // The seal woke the waiting replay: every replay finished, above
+    // the sealed (empty) log's high-water mark.
+    EXPECT_TRUE(log.sealed());
+    EXPECT_TRUE(log.empty());
+    std::sort(completed.begin(), completed.end());
+    EXPECT_EQ(completed, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(ParallelDriver, SealedEmptyLogSkipsTheRecordRun)
+{
+    // fft never calls malloc: its record run logs nothing and seals the
+    // log. Extending the campaign from 8 to 16 runs with that log must
+    // execute runs 8..15 only.
+    const apps::AppInfo &app = apps::findApp("fft");
+    mem::ReplayLog log;
+    CampaignOptions first;
+    first.jobs = 4;
+    first.replayLog = &log;
+    const check::DriverReport head =
+        runCampaign(campaignConfig(app, 8), app.factory, first);
+    ASSERT_TRUE(log.sealed());
+    ASSERT_TRUE(log.empty());
+
+    std::vector<const check::RunRecord *> precomputed;
+    for (const check::RunRecord &record : head.records)
+        precomputed.push_back(&record);
+    std::mutex mu;
+    std::vector<int> executed;
+    CampaignOptions extend;
+    extend.jobs = 4;
+    extend.precomputed = &precomputed;
+    extend.replayLog = &log;
+    extend.appName = app.name;
+    extend.onRunComplete = [&](int run, const check::RunRecord &) {
+        std::lock_guard<std::mutex> lock(mu);
+        executed.push_back(run);
+    };
+    const check::DriverConfig cfg = campaignConfig(app, 16);
+    const check::DriverReport extended =
+        runCampaign(cfg, app.factory, extend);
+
+    std::sort(executed.begin(), executed.end());
+    EXPECT_EQ(executed,
+              (std::vector<int>{8, 9, 10, 11, 12, 13, 14, 15}));
+    expectBitIdentical(check::DeterminismDriver(cfg).check(app.factory),
+                       extended);
 }
 
 TEST(ParallelDriver, SinkStreamsEveryRunAndCampaignCounters)

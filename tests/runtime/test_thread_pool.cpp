@@ -1,14 +1,19 @@
 /**
  * @file
  * The work-stealing pool's contracts: submission-order execution on one
- * worker, full coverage under parallelFor, exception propagation through
- * futures and parallelFor, destructor drain, and counter plausibility.
+ * worker, full coverage under parallelFor (a claim loop the caller takes
+ * part in), exception propagation through futures and parallelFor,
+ * destructor drain, and counter plausibility.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <future>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -97,13 +102,91 @@ TEST(ThreadPool, DestructorDrainsQueuedTasks)
 TEST(ThreadPool, CountsExecutedTasksAndQueueDepth)
 {
     ThreadPool pool(2);
-    pool.parallelFor(32, [](std::size_t) {
+    std::vector<std::atomic<int>> hits(32);
+    pool.parallelFor(hits.size(), [&hits](std::size_t i) {
         std::this_thread::sleep_for(std::chrono::microseconds(50));
+        hits[i].fetch_add(1);
     });
+    for (const std::atomic<int> &hit : hits)
+        EXPECT_EQ(hit.load(), 1);
+    // The tasks are parallelFor's helpers, one per worker at most; the
+    // caller claims iterations too. A helper that has not started yet
+    // is not counted.
     const PoolStats stats = pool.stats();
-    EXPECT_EQ(stats.tasksExecuted, 32u);
+    EXPECT_LE(stats.tasksExecuted, 2u);
     EXPECT_GE(stats.maxQueueDepth, 1u);
-    EXPECT_GT(stats.busySeconds, 0.0);
+    EXPECT_LE(stats.maxQueueDepth, 2u);
+}
+
+/**
+ * Blocks each caller until @p parties have arrived or @p patience runs
+ * out; returns whether everyone arrived.
+ */
+class Rendezvous
+{
+  public:
+    explicit Rendezvous(int parties) : waiting(parties) {}
+
+    bool
+    arriveAndWait(std::chrono::seconds patience)
+    {
+        std::unique_lock<std::mutex> lock(mu);
+        if (--waiting == 0)
+            cv.notify_all();
+        return cv.wait_for(lock, patience, [this] { return waiting <= 0; });
+    }
+
+  private:
+    std::mutex mu;
+    std::condition_variable cv;
+    int waiting;
+};
+
+TEST(ThreadPool, ParallelForRunsOnCallerBesideHelpers)
+{
+    // Three iterations that can only finish together: the caller and
+    // both helpers must each hold one at the same time.
+    ThreadPool pool(2);
+    Rendezvous all_three(3);
+    std::mutex mu;
+    std::vector<std::thread::id> claimers;
+    pool.parallelFor(3, [&](std::size_t) {
+        {
+            std::lock_guard<std::mutex> lock(mu);
+            claimers.push_back(std::this_thread::get_id());
+        }
+        EXPECT_TRUE(all_three.arriveAndWait(std::chrono::seconds(30)));
+    });
+    ASSERT_EQ(claimers.size(), 3u);
+    EXPECT_NE(std::find(claimers.begin(), claimers.end(),
+                        std::this_thread::get_id()),
+              claimers.end());
+    EXPECT_EQ(pool.stats().tasksExecuted, 2u);
+}
+
+TEST(ThreadPool, ParallelForFinishesOnCallerWhileWorkersAreBusy)
+{
+    // The only worker is held by another caller's task: every iteration
+    // runs on this caller, and the queued helper returns later without
+    // calling fn.
+    ThreadPool pool(1);
+    std::promise<void> release;
+    std::shared_future<void> released = release.get_future().share();
+    auto blocker = pool.submit([released] { released.wait(); });
+
+    std::atomic<int> calls{0};
+    std::vector<std::thread::id> claimers(16);
+    pool.parallelFor(claimers.size(), [&](std::size_t i) {
+        claimers[i] = std::this_thread::get_id();
+        calls.fetch_add(1);
+    });
+    for (const std::thread::id &claimer : claimers)
+        EXPECT_EQ(claimer, std::this_thread::get_id());
+
+    release.set_value();
+    blocker.get();
+    pool.submit([] {}).get(); // the late helper has had its turn
+    EXPECT_EQ(calls.load(), 16);
 }
 
 TEST(ThreadPool, DefaultSizeUsesHardwareWorkers)

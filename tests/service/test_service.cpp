@@ -170,6 +170,34 @@ TEST(Service, CampaignsShareUnitsAcrossRunCounts)
     EXPECT_EQ(embeddedReport(longer), oneShotReport("radix", 8, 1000));
 }
 
+TEST(Service, ExtendOverStoredEmptyLogExecutesOnlyNewRuns)
+{
+    // fft never calls malloc, so its stored log is empty but complete:
+    // extending 8 runs to 16 executes runs 8..15 and never re-records
+    // run 0. Every executed run puts its unit, so the store's put
+    // counters (a re-put unit counts as a duplicate) give the runs that
+    // actually executed; the response and stats must report the same.
+    ServiceConfig cfg;
+    cfg.jobs = 2;
+    Service service(cfg);
+    service.handleLine(checkLine("head", "fft", 8, 1000));
+    const ServiceSnapshot before = service.snapshot();
+
+    const std::string extended =
+        service.handleLine(checkLine("extend", "fft", 16, 1000));
+    const ServiceSnapshot after = service.snapshot();
+    EXPECT_NE(extended.find("\"unitsExecuted\":8,"), std::string::npos)
+        << extended;
+    EXPECT_NE(extended.find("\"unitsReused\":8,"), std::string::npos);
+    EXPECT_NE(extended.find("\"logReused\":true"), std::string::npos);
+    EXPECT_EQ(embeddedReport(extended), oneShotReport("fft", 16, 1000));
+
+    // Units 8..15 plus the response; no unit put twice.
+    EXPECT_EQ(after.store.puts - before.store.puts, 9u);
+    EXPECT_EQ(after.store.putDuplicates, before.store.putDuplicates);
+    EXPECT_EQ(after.unitsExecuted - before.unitsExecuted, 8u);
+}
+
 TEST(Service, RestartResumesFromStoreWithoutReExecuting)
 {
     const std::string store_path = tempStorePath("resume");

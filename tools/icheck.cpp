@@ -22,9 +22,10 @@
  *                [--vnodes N] [--ship sync|async]
  *                [--pull-interval-ms N]
  *
- * Campaigns fan their N seeded runs out across --jobs worker threads
- * (default: hardware concurrency); the report is bit-identical for every
- * worker count. --jsonl streams per-run records and campaign counters.
+ * Campaigns run their N seeded runs on --jobs threads, the calling
+ * thread included (default: hardware concurrency); the report is
+ * bit-identical for every thread count. --jsonl streams per-run records
+ * and campaign counters.
  *
  * Exit codes: 0 success / deterministic verdict, 1 nondeterminism
  * detected, 2 usage or configuration error, 3 internal error.
@@ -107,8 +108,10 @@ usage()
         "               [--vnodes N] [--ship sync|async]\n"
         "               [--pull-interval-ms N]\n"
         "\n"
-        "--jobs N fans campaign runs out over N worker threads (default:\n"
-        "hardware concurrency); reports are bit-identical for any N.\n"
+        "--jobs N runs a campaign's runs on N threads, the calling\n"
+        "thread included (default: hardware concurrency); reports are\n"
+        "bit-identical for any N. serve --jobs N shares N workers among\n"
+        "its dispatchers, each of which also runs its own campaign's runs.\n"
         "Numeric flags take plain decimal digits; --runs is at least 2\n"
         "for campaigns and at least 1 for explore; --jobs is at most\n"
         "256, and 0 means auto.\n"

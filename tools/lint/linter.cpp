@@ -252,9 +252,13 @@ lintSources(const std::vector<FileInput> &files, const LintConfig &config,
     // Phase 1, per file and embarrassingly parallel: pattern rules plus
     // symbol/lockset fact extraction. Results land in input order, so
     // the merge below is identical for every worker count.
+    // The calling thread scans too, so --jobs N takes N - 1 workers.
     std::vector<FileScan> scans(files.size());
-    if (config.jobs != 1 && files.size() > 1) {
-        runtime::ThreadPool pool(config.jobs);
+    const unsigned threads = config.jobs == 0
+                                 ? runtime::ThreadPool::hardwareWorkers()
+                                 : config.jobs;
+    if (threads > 1 && files.size() > 1) {
+        runtime::ThreadPool pool(threads - 1);
         pool.parallelFor(files.size(), [&](std::size_t i) {
             scans[i] = scanFile(files[i].path, files[i].source, config);
         });

@@ -59,9 +59,10 @@ struct LintConfig
     int minGuardWrites = 2;
 
     /**
-     * Worker threads for the per-file phase (lex + pattern rules +
-     * symbol/lockset fact extraction). 1 = serial; 0 = one per core.
-     * Output is byte-identical for every value.
+     * Threads for the per-file phase (lex + pattern rules +
+     * symbol/lockset fact extraction), the calling thread included.
+     * 1 = serial; 0 = one per core. Output is byte-identical for every
+     * value.
      */
     unsigned jobs = 1;
 };
